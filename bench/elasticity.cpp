@@ -62,7 +62,7 @@ RejoinPoint run_rejoin(TimePs downtime) {
   plan.kill_node(victim, kill_at);
   plan.restart_at(victim, restart_time);
   cluster.network().install_faults(plan);
-  cluster.sim().schedule_fence_at(restart_time, [&cluster, victim] {
+  cluster.sim().schedule_at(restart_time, [&cluster, victim] {
     cluster.storage_by_node(victim).restart_dfs();
   });
 
@@ -196,7 +196,7 @@ RollingPoint run_rolling(bool smoke) {
   cluster.network().install_faults(plan);
   for (std::size_t i = 0; i < restarts_n; ++i) {
     const net::NodeId node = cluster.storage_node(i).id();
-    cluster.sim().schedule_fence_at(restart_times[i], [&cluster, node] {
+    cluster.sim().schedule_at(restart_times[i], [&cluster, node] {
       cluster.storage_by_node(node).restart_dfs();
     });
   }

@@ -63,17 +63,9 @@ class MetricsAccumulator {
 ///
 /// Thread count: explicit argument > NADFS_BENCH_THREADS env var >
 /// std::thread::hardware_concurrency(). NADFS_BENCH_THREADS=1 forces the
-/// serial path (useful for A/B-ing output equivalence).
-///
-/// Interaction with domain-parallel simulation (DESIGN.md §3f): the two
-/// levels of parallelism multiply. Each sweep point's Cluster may itself
-/// spin up NADFS_SIM_THREADS workers when the partitioned core is enabled
-/// (NADFS_SIM_PARALLEL / SimParallelConfig), so a pool of P points each
-/// running W sim workers wants P*W <= hardware_concurrency. Benches that
-/// measure *intra-run* scaling (bench/parallel_sim.cpp) construct
-/// SweepRunner(1) so the per-run speedup is not confounded by point-level
-/// parallelism; throughput benches that sweep many independent points keep
-/// the default pool and leave the sim serial.
+/// serial path (useful for A/B-ing output equivalence). Each point's
+/// simulation itself is single-threaded; this pool is the only
+/// parallelism (DESIGN.md §3f).
 class SweepRunner {
  public:
   explicit SweepRunner(unsigned threads = 0) {

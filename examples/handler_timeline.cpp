@@ -1,7 +1,9 @@
-// Handler-timeline observability: attach a TraceSink to every storage
+// Handler-timeline observability: attach a span tracer to every storage
 // node's PsPIN, run a replicated write and an erasure-coded write, export a
 // Chrome trace (load the JSON in chrome://tracing or ui.perfetto.dev), and
-// print a per-node utilization summary.
+// print a per-node utilization summary. Handler spans sit on lane
+// cluster*1000 + hpu; a NADFS_OBS=OFF build compiles the hooks out and
+// records nothing.
 //
 //   $ ./build/examples/handler_timeline [output.json]
 #include <cstdio>
@@ -9,6 +11,7 @@
 #include <map>
 
 #include "common/rng.hpp"
+#include "obs/span.hpp"
 #include "services/client.hpp"
 #include "services/cluster.hpp"
 
@@ -23,9 +26,9 @@ int main(int argc, char** argv) {
   Cluster cluster(cfg);
   Client client(cluster, 0);
 
-  pspin::TraceSink trace;
+  obs::SpanTracer trace;
   for (std::size_t n = 0; n < cluster.storage_node_count(); ++n) {
-    cluster.storage_node(n).pspin().set_trace(&trace);
+    cluster.storage_node(n).pspin().set_span_tracer(&trace);
   }
 
   // Workload: one 128 KiB ring-replicated write and one 128 KiB RS(3,2)
@@ -60,9 +63,9 @@ int main(int argc, char** argv) {
     std::size_t runs = 0;
   };
   std::map<net::NodeId, NodeSummary> per_node;
-  for (const auto& r : trace.records()) {
-    per_node[r.node].busy += r.end - r.start;
-    per_node[r.node].runs++;
+  for (const auto& s : trace.spans()) {
+    per_node[s.node].busy += s.end_ps - s.start_ps;
+    per_node[s.node].runs++;
   }
   std::printf("%8s %10s %14s %16s\n", "node", "handlers", "HPU busy", "avg utilization*");
   for (const auto& [node, s] : per_node) {

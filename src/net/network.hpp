@@ -105,14 +105,11 @@ class Network {
   /// by time, so future-dated additions are safe).
   FaultPlan& faults();
 
-  /// Mutate the armed plan from *event context* in a way that is safe (and
-  /// bit-identical) under domain-parallel execution: the mutation runs as
-  /// a fence one link latency from now, with every lane parked. Chaos
-  /// hooks that add future-dated kills from packet-delivery callbacks must
-  /// use this instead of touching faults() directly — under parallelism a
-  /// direct mutation races with other lanes' reachability queries. The
-  /// delay is the same in serial mode, so both modes see the mutation at
-  /// the same (when, seq).
+  /// Mutate the armed plan from *event context*: the edit runs as its own
+  /// event one link latency from now, so reachability queries before that
+  /// instant still see the old plan. Chaos hooks add future-dated kills
+  /// this way from packet-delivery callbacks. The delay is part of the
+  /// pinned chaos event order.
   void mutate_faults(std::function<void(FaultPlan&)> fn);
 
   bool faults_armed() const { return faults_armed_; }
@@ -125,23 +122,6 @@ class Network {
   /// attaching never changes event order or digests.
   void set_tracer(obs::SpanTracer* tracer) { tracer_ = tracer; }
   obs::SpanTracer* tracer() const { return tracer_; }
-
-  // ---------------------------------------------- domain partitioning
-  /// Pin each node's delivery events to a simulation domain and the whole
-  /// switch fabric (uplink arrival through final egress) to
-  /// `fabric_domain`. Every cross-domain handoff then carries at least one
-  /// link traversal of delay — node→switch arrivals add
-  /// link_latency + switch_latency past the uplink end, and switch→node
-  /// arrivals add link_latency past the downlink end — which is exactly
-  /// the conservative lookahead the partitioned simulator core needs (see
-  /// lookahead()). `node_domains` must cover every attached node. Without
-  /// a map, hops schedule into the caller's current domain (serial
-  /// behaviour).
-  void set_domain_map(std::vector<sim::DomainId> node_domains, sim::DomainId fabric_domain);
-
-  /// Conservative lookahead this network's domain map supports: the link
-  /// latency, the minimum delay any cross-domain handoff carries.
-  TimePs lookahead() const { return config_.link_latency; }
 
   /// Register the fault counters, per-node delivered-bytes cells and (on a
   /// fabric) per-switch hop counters under `prefix` ("net" ->
@@ -174,19 +154,6 @@ class Network {
 
   sim::GapServer& trunk(SwitchId leaf, SwitchId spine, bool up);
 
-  /// Route a hop event into `domain` when a map is set, else a plain
-  /// schedule (current/external domain — serial behaviour, bit-identical).
-  void schedule_hop(sim::DomainId domain, TimePs when, sim::EventFn fn) {
-    if (domains_mapped_) {
-      sim_.schedule_at_domain(domain, when, std::move(fn));
-    } else {
-      sim_.schedule_at(when, std::move(fn));
-    }
-  }
-  sim::DomainId domain_of_node(NodeId n) const {
-    return domains_mapped_ ? node_domains_[n] : 0;
-  }
-
   sim::Simulator& sim_;
   NetworkConfig config_;
   // deque: NodePort references stay valid when nodes are added later (the
@@ -198,10 +165,6 @@ class Network {
   std::vector<std::unique_ptr<sim::GapServer>> trunk_down_;
   std::vector<HopCounters> hops_;   // one per switch
   TimePs max_port_queue_ = 0;       // transfer_time(port_buffer_bytes); 0 = unbounded
-
-  std::vector<sim::DomainId> node_domains_;
-  sim::DomainId fabric_domain_ = 0;
-  bool domains_mapped_ = false;
 
   bool faults_armed_ = false;
   FaultPlan plan_;

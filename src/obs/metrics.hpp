@@ -35,13 +35,9 @@ inline constexpr bool kObsEnabled = true;
 /// member: increments, compound adds, and implicit reads all behave like
 /// the raw integer did.
 ///
-/// Increments are relaxed atomics: under the domain-parallel simulator
-/// core several lanes may bump a shared counter (e.g. net tx_drops from
-/// many source nodes) within one window. Addition is commutative, so the
-/// value after a window barrier — and every registry snapshot, which runs
-/// with lanes parked — is identical to the serial schedule's. Relaxed RMW
-/// on x86 is a lock-prefixed add: a couple of ns on an uncontended line,
-/// invisible against the cost of an event.
+/// Increments are relaxed atomics, so a counter may be bumped from any
+/// thread. Relaxed RMW on x86 is a lock-prefixed add: a couple of ns on an
+/// uncontended line, invisible against the cost of an event.
 class Counter {
  public:
   constexpr Counter() = default;
@@ -70,7 +66,7 @@ class Counter {
 
   /// Registry view of the raw cell. std::atomic<uint64_t> is
   /// layout-compatible with its value type (asserted below); snapshots
-  /// read it with lanes parked, so a plain load is exact.
+  /// run between events, so a plain load is exact.
   const std::uint64_t* cell() const { return reinterpret_cast<const std::uint64_t*>(&v_); }
 
  private:

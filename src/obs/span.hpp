@@ -1,16 +1,17 @@
-// Cross-layer span tracing. Generalizes pspin::TraceSink (device-only
-// handler spans) into whole-system spans: a client op attempt, the NIC
-// doorbell/PCIe DMA it triggers, every network uplink/downlink hop, the
-// HPU handler executions on the storage nodes, egress commands and the
-// ack back to the client — all correlated by the operation's greq id
-// (carried end-to-end in Packet::user_tag) falling back to msg_id.
+// Cross-layer span tracing, the one tracing path of the simulator: a
+// client op attempt, the NIC doorbell/PCIe DMA it triggers, every network
+// uplink/downlink hop, the HPU handler executions on the storage nodes,
+// egress commands and the ack back to the client — all correlated by the
+// operation's greq id (carried end-to-end in Packet::user_tag) falling
+// back to msg_id.
 //
 // Recording is an append to a vector: no simulation events, no RNG, no
 // sim-time reads beyond values the caller already has — attaching a
 // tracer cannot change a run's digest. Export is Chrome trace-event JSON
 // (the Perfetto legacy format): pid = node id, tid = lane. HPU handler
-// spans keep pspin::TraceSink's lane convention (cluster*1000 + hpu);
-// other layers use the well-known lanes below.
+// spans use lane cluster*1000 + hpu (cat "handler", name HH/PH/CH or
+// "cleanup", val = instructions); other layers use the well-known lanes
+// below.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +58,7 @@ class SpanTracer {
       // Sample by *operation*, not by span: keep every span of every Nth
       // correlation id (so a kept op's trace stays complete end-to-end),
       // and always keep uncorrelated spans. Pure function of span content
-      // — sampling never changes event order or digests, and picks the
-      // same ops in serial and parallel runs.
+      // — sampling never changes event order or digests.
       const std::uint64_t key = s.corr != 0 ? s.corr : s.msg;
       if (key != 0 && key % sample_every_ != 0) return;
     }
@@ -67,8 +67,8 @@ class SpanTracer {
   }
 
   /// Keep only every Nth operation's spans (1 = keep everything, the
-  /// default). Long parallel runs pay ~8% for always-on full tracing;
-  /// sampling keeps the instrument usable at scale.
+  /// default). Long runs pay ~8% for always-on full tracing; sampling
+  /// keeps the instrument usable at scale.
   void set_sample_every(std::uint64_t n) { sample_every_ = n == 0 ? 1 : n; }
   std::uint64_t sample_every() const { return sample_every_; }
 
@@ -92,10 +92,8 @@ class SpanTracer {
   static std::string lane_name(std::uint32_t lane);
 
  private:
-  // Lanes of a domain-parallel run record concurrently; the mutex makes
-  // the append safe. Cross-lane recording *order* is wall-clock order, not
-  // sim order — readers needing determinism should sort by (start_ps,
-  // corr) or run serially. (Span content itself is identical either way.)
+  // Guards the append, so recording is safe from any thread. Within one
+  // simulation spans land in event order.
   std::mutex mu_;
   std::uint64_t sample_every_ = 1;
   std::vector<Span> spans_;

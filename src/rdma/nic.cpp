@@ -330,6 +330,7 @@ void Nic::host_path_write(net::Packet&& pkt) {
       nack.opcode = net::Opcode::kNack;
       nack.msg_id = alloc_msg_id();
       nack.user_tag = pkt.msg_id;
+      nack.raddr = static_cast<std::uint64_t>(dfs::DfsError::kDenied);  // bad rkey
       net_.inject(std::move(nack), sim_.now());
     }
     return;
@@ -446,6 +447,7 @@ void Nic::host_path_read_request(const net::Packet& pkt) {
     nack.opcode = net::Opcode::kNack;
     nack.msg_id = alloc_msg_id();
     nack.user_tag = pkt.user_tag;
+    nack.raddr = static_cast<std::uint64_t>(dfs::DfsError::kDenied);  // bad rkey
     net_.inject(std::move(nack), sim_.now());
     return;
   }

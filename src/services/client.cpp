@@ -42,10 +42,12 @@ void AckTracker::install(rdma::Nic& nic) {
     if (pkt.opcode == net::Opcode::kNack) {
       auto cb = std::move(it->second.cb);
       ops_.erase(it);
-      // The typed error rides the control packet's raddr; 0 is a legacy
-      // NACK (pre-typed peer) and maps to the old blanket meaning.
+      // The typed error rides the control packet's raddr. Every sender sets
+      // a code in [kNotFound, kMalformed]; anything else — kOk (0)
+      // included — is invalid input and maps to kDenied, so a NACK can
+      // never complete an op as kOk or forge an enum value.
       dfs::DfsError err = dfs::DfsError::kDenied;
-      if (pkt.raddr != 0 &&
+      if (pkt.raddr >= static_cast<std::uint64_t>(dfs::DfsError::kNotFound) &&
           pkt.raddr <= static_cast<std::uint64_t>(dfs::DfsError::kMalformed)) {
         err = static_cast<dfs::DfsError>(pkt.raddr);
       }

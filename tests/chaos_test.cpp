@@ -375,7 +375,7 @@ TEST(Chaos, KillNodeMidEcWriteDetectorDrivenRecovery) {
 // Every storage node runs the Bε-tree engine with a small memtable and a
 // finite device, so flush/compaction jobs are routinely in flight and the
 // engine buffers unflushed bytes in RAM. The victim is killed while its
-// write buffer is provably non-empty (a fence probe at the kill instant
+// write buffer is provably non-empty (a probe event at the kill instant
 // asserts it) — the exact state a crash would lose on real hardware.
 // Recovery must rebuild the chunk from the surviving replicas, nothing may
 // hang, and the whole episode must replay bit-identically.
@@ -424,7 +424,7 @@ std::uint64_t run_kill_mid_compaction_scenario(std::uint64_t seed) {
       dynamic_cast<storage::BetaTreeEngine&>(cluster.storage_by_node(victim).target().engine());
   std::uint64_t buffered_at_kill = 0;
   std::uint64_t backlog_at_kill = 0;
-  cluster.sim().schedule_fence_at(kill_at, [&] {
+  cluster.sim().schedule_at(kill_at, [&] {
     buffered_at_kill = victim_engine.buffered_bytes();
     backlog_at_kill = victim_engine.backlog_runs();
   });
@@ -557,9 +557,8 @@ TEST(Chaos, RebuildDropsBelowKMidCollectAndReportsLossWithoutHanging) {
     rebuild_started = true;
     // The collect now streams from targets[1], targets[2] and parity[0];
     // kill one of them 1 us in, mid-transfer. mutate_faults: this runs
-    // from event context (a detector callback), so under the
-    // domain-parallel core the plan edit must be fenced — and the fence
-    // timing is identical in serial mode, keeping digests comparable.
+    // from event context (a detector callback), so the plan edit lands one
+    // link latency later as its own event.
     cluster.network().mutate_faults([&layout, at](net::FaultPlan& plan) {
       plan.kill_node(layout.targets[1].node, at + us(1));
     });

@@ -400,6 +400,33 @@ TEST(FaultNet, FaultsAccessorArmsAndAllowsMidRunKills) {
   EXPECT_EQ(rig.net.fault_counters().rx_drops, 1u);
 }
 
+TEST(FaultNet, MutateFaultsLandsOneLinkLatencyLater) {
+  // An edit made from event context at t runs as its own event at
+  // t + link_latency: reachability queries before that instant still see
+  // the old plan, queries after it see the edit. The chaos digests pin
+  // this delay.
+  Rig rig;
+  rig.net.faults();  // arms an empty plan
+  const TimePs lat = rig.net.config().link_latency;
+  const TimePs t = us(1);
+  TimePs applied_at = 0;
+  bool in_caller = false, before = false, after = true;
+  rig.sim.schedule_at(t, [&] {
+    rig.net.mutate_faults([&](net::FaultPlan& plan) {
+      applied_at = rig.sim.now();
+      plan.kill_node(rig.nb, 0);  // down for all time once applied
+    });
+    in_caller = rig.net.faults().reachable(rig.nb, rig.sim.now());
+  });
+  rig.sim.schedule_at(t + lat - 1, [&] { before = rig.net.faults().reachable(rig.nb, t); });
+  rig.sim.schedule_at(t + lat + 1, [&] { after = rig.net.faults().reachable(rig.nb, t); });
+  rig.sim.run();
+  EXPECT_EQ(applied_at, t + lat);
+  EXPECT_TRUE(in_caller);
+  EXPECT_TRUE(before);
+  EXPECT_FALSE(after);
+}
+
 TEST(FaultNet, InstallResetsCountersAndRng) {
   Rig rig;
   net::FaultPlan plan;

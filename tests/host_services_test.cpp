@@ -2,6 +2,8 @@
 // the control-plane services, and the client-side ack tracker.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "host/cpu.hpp"
 #include "services/client.hpp"
 #include "services/cluster.hpp"
@@ -366,13 +368,15 @@ TEST(AckTracker, NackDeliversTypedWireError) {
   nic.on_packet(std::move(nack));
   EXPECT_EQ(seen, dfs::DfsError::kNotFound);
 
-  // A legacy NACK (raddr == 0, pre-typed peer) maps to the old blanket
-  // meaning, kDenied.
+  // raddr == 0 is kOk, which no NACK may carry: input validation maps it
+  // to kDenied so a NACK can never complete an op successfully.
+  seen = dfs::DfsError::kOk;
   tracker.expect(12, 1, services::OpCb([&](dfs::DfsError err, TimePs) { seen = err; }));
-  net::Packet legacy;
-  legacy.opcode = net::Opcode::kNack;
-  legacy.user_tag = 12;
-  nic.on_packet(std::move(legacy));
+  net::Packet zero;
+  zero.opcode = net::Opcode::kNack;
+  zero.user_tag = 12;
+  ASSERT_EQ(zero.raddr, 0u);
+  nic.on_packet(std::move(zero));
   EXPECT_EQ(seen, dfs::DfsError::kDenied);
 
   // Out-of-range codes (corrupt or future peer) degrade to kDenied rather
@@ -384,6 +388,48 @@ TEST(AckTracker, NackDeliversTypedWireError) {
   weird.raddr = 0xFFu;
   nic.on_packet(std::move(weird));
   EXPECT_EQ(seen, dfs::DfsError::kDenied);
+}
+
+TEST(AckTracker, BadRkeyHostPathWriteNacksAsDenied) {
+  // A raw RDMA write with a bad rkey is rejected by the target NIC's host
+  // path. The NACK carries kDenied explicitly in raddr, and the writer's
+  // ack tracker surfaces it as kDenied.
+  sim::Simulator sim;
+  net::Network net(sim);
+  storage::Target writer_mem(sim);
+  storage::Target target_mem(sim);
+  rdma::Nic writer(sim, net, writer_mem);
+  rdma::Nic target(sim, net, target_mem);
+  const std::uint32_t bad_rkey = target.register_mr(0, 64 * KiB) + 100;
+
+  // First write: capture the NACK as it arrives off the wire.
+  std::optional<net::Packet> wire;
+  writer.set_control_handler([&](const net::Packet& pkt, TimePs) { wire = pkt; });
+  writer.post_write(target.id(), 0x100, bad_rkey, Bytes(4000, 7), [](TimePs) {
+    ADD_FAILURE() << "a rejected write must not complete";
+  });
+  sim.run();
+  ASSERT_TRUE(wire.has_value());
+  EXPECT_EQ(wire->opcode, net::Opcode::kNack);
+  EXPECT_EQ(wire->raddr, static_cast<std::uint64_t>(dfs::DfsError::kDenied));
+
+  // Second write through the tracker. The NACK is tagged with the write's
+  // msg_id, which the writer NIC allocates sequentially.
+  services::AckTracker tracker;
+  tracker.install(writer);
+  dfs::DfsError seen = dfs::DfsError::kOk;
+  bool done = false;
+  tracker.expect(wire->user_tag + 1, 1, services::OpCb([&](dfs::DfsError err, TimePs) {
+                   seen = err;
+                   done = true;
+                 }));
+  writer.post_write(target.id(), 0x100, bad_rkey, Bytes(4000, 8), [](TimePs) {
+    ADD_FAILURE() << "a rejected write must not complete";
+  });
+  sim.run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(seen, dfs::DfsError::kDenied);
+  EXPECT_EQ(target_mem.read(0x100, 4), Bytes(4, 0));  // nothing landed
 }
 
 TEST(Client, GreqIdsGloballyUnique) {

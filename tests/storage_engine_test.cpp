@@ -12,9 +12,8 @@
 //    Bε-tree's functional behaviour is differential-tested against a flat
 //    in-memory oracle under randomized workloads.
 //
-// scripts/check.sh reruns this binary under NADFS_SIM_PARALLEL={0,1} x
-// NADFS_CHAOS_SEED={1,7}; the randomized suites fold the seed in and
-// print it on failure.
+// scripts/check.sh reruns this binary under NADFS_CHAOS_SEED={1,7}; the
+// randomized suites fold the seed in and print it on failure.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -263,11 +262,9 @@ TEST(BetaTree, ReadAmplificationChargedPerRunTouched) {
   EXPECT_EQ(eng.compact_read_bytes(), 0u);
 }
 
-std::uint64_t betree_cluster_digest(std::uint64_t seed, bool parallel) {
+std::uint64_t betree_cluster_digest(std::uint64_t seed) {
   services::ClusterConfig cfg;
   cfg.storage_nodes = 4;
-  cfg.parallel.mode = parallel ? services::SimParallelConfig::Mode::kOn
-                               : services::SimParallelConfig::Mode::kOff;
   TargetConfig tcfg;
   tcfg.engine = betree_config();
   cfg.per_node_target = {tcfg};
@@ -306,16 +303,9 @@ std::uint64_t betree_cluster_digest(std::uint64_t seed, bool parallel) {
 
 TEST(BetaTree, ClusterDigestIsReproducible) {
   const std::uint64_t seed = env_seed();
-  const auto first = betree_cluster_digest(seed, false);
-  const auto second = betree_cluster_digest(seed, false);
+  const auto first = betree_cluster_digest(seed);
+  const auto second = betree_cluster_digest(seed);
   EXPECT_EQ(first, second) << "seed " << seed;
-}
-
-TEST(BetaTree, ClusterDigestSerialMatchesParallel) {
-  const std::uint64_t seed = env_seed();
-  const auto serial = betree_cluster_digest(seed, false);
-  const auto parallel = betree_cluster_digest(seed, true);
-  EXPECT_EQ(serial, parallel) << "seed " << seed;
 }
 
 // ------------------------------------------------------- EngineEquivalence
@@ -324,8 +314,8 @@ TEST(BetaTree, ClusterDigestSerialMatchesParallel) {
 /// GapServer at the ingest bandwidth, write = reserve(bytes), trim/read
 /// free. The functional store is a flat byte array.
 struct LegacyModel {
-  explicit LegacyModel(sim::Simulator& sim, Bandwidth ingest, std::size_t span)
-      : ingest(sim, ingest), bytes(span, 0) {}
+  explicit LegacyModel(sim::Simulator& sim, Bandwidth bandwidth, std::size_t span)
+      : ingest(sim, bandwidth), bytes(span, 0) {}
 
   TimePs write(std::uint64_t addr, ByteSpan data, TimePs earliest) {
     std::copy(data.begin(), data.end(), bytes.begin() + static_cast<std::ptrdiff_t>(addr));

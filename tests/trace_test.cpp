@@ -1,14 +1,14 @@
-// Tests of the handler-execution trace sink and its device integration.
+// Tests of the span tracer: HPU handler spans and their device
+// integration, then whole-system spans correlated across layers.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "obs/json.hpp"
 #include "obs/span.hpp"
-#include "pspin/trace.hpp"
 #include "services/client.hpp"
 #include "services/cluster.hpp"
 
@@ -20,44 +20,66 @@ using services::Cluster;
 using services::ClusterConfig;
 using services::FilePolicy;
 
-TEST(TraceSink, RecordsAndAggregates) {
-  pspin::TraceSink sink;
-  sink.record({1, 0, 3, spin::HandlerType::kHeader, 7, 0, 120, ns(100), ns(311)});
-  sink.record({1, 0, 4, spin::HandlerType::kPayload, 7, 1, 55, ns(300), ns(392)});
-  EXPECT_EQ(sink.size(), 2u);
-  EXPECT_EQ(sink.busy_time(), ns(211) + ns(92));
-  sink.clear();
-  EXPECT_EQ(sink.size(), 0u);
+/// Handler spans the device recorded (cleanup runs excluded).
+std::vector<obs::Span> handler_spans(const obs::SpanTracer& tracer) {
+  std::vector<obs::Span> out;
+  for (const auto& s : tracer.spans()) {
+    if (std::string(s.cat) == "handler" && std::string(s.name) != "cleanup") out.push_back(s);
+  }
+  return out;
 }
 
-TEST(TraceSink, ChromeJsonShape) {
-  pspin::TraceSink sink;
-  sink.record({2, 1, 5, spin::HandlerType::kCompletion, 9, 3, 66, us(1), us(2)});
-  std::ostringstream out;
-  sink.export_chrome_json(out);
-  const std::string json = out.str();
+TEST(SpanTracer, HandlerSpansRecordAndClear) {
+  obs::SpanTracer tracer;
+  tracer.record({1, 0 * 1000 + 3, "handler", "HH", 7, 7, 0, 120, ns(100), ns(311)});
+  tracer.record({1, 0 * 1000 + 4, "handler", "PH", 7, 7, 1, 55, ns(300), ns(392)});
+  EXPECT_EQ(tracer.size(), 2u);
+  TimePs busy = 0;
+  for (const auto& s : tracer.spans()) busy += s.end_ps - s.start_ps;
+  EXPECT_EQ(busy, ns(211) + ns(92));
+  tracer.clear();
+  EXPECT_EQ(tracer.size(), 0u);
+}
+
+TEST(SpanTracer, HandlerSpanChromeJsonShape) {
+  obs::SpanTracer tracer;
+  tracer.record({2, 1 * 1000 + 5, "handler", "CH", 9, 9, 3, 66, us(1), us(2)});
+  const std::string json = tracer.to_chrome_json();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"CH\""), std::string::npos);
   EXPECT_NE(json.find("\"pid\":2"), std::string::npos);
   EXPECT_NE(json.find("\"tid\":1005"), std::string::npos);
-  EXPECT_NE(json.find("\"instr\":66"), std::string::npos);
+  EXPECT_NE(json.find("\"val\":66"), std::string::npos);  // instructions
+  EXPECT_NE(json.find("\"name\":\"hpu c1/5\""), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
 }
 
-TEST(TraceSink, EmptyExportIsValid) {
-  pspin::TraceSink sink;
-  std::ostringstream out;
-  sink.export_chrome_json(out);
-  EXPECT_EQ(out.str(), "{\"traceEvents\":[]}");
+TEST(SpanTracer, EmptyExportIsValid) {
+  obs::SpanTracer tracer;
+  const std::string json = tracer.to_chrome_json();
+  EXPECT_EQ(json, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[]}");
+  std::string err;
+  EXPECT_TRUE(obs::json_valid(json, &err)) << err;
 }
 
-TEST(TraceSink, DeviceIntegrationRecordsEveryHandler) {
+TEST(SpanTracer, HandlerSpanExportParsesAsStrictJson) {
+  obs::SpanTracer tracer;
+  tracer.record({1, 0 * 1000 + 3, "handler", "HH", 7, 7, 0, 120, ns(100), ns(311)});
+  tracer.record({1, 2 * 1000 + 4, "handler", "PH", 7, 7, 1, 55, ns(300), ns(392)});
+  std::string err;
+  EXPECT_TRUE(obs::json_valid(tracer.to_chrome_json(), &err)) << err;
+}
+
+TEST(SpanTracer, DeviceRecordsEveryHandler) {
+  if constexpr (!obs::kObsEnabled) {
+    GTEST_SKIP() << "span hooks compiled out (NADFS_OBS=OFF)";
+  }
   Cluster cluster;
   Client client(cluster, 0);
-  pspin::TraceSink sink;
+  obs::SpanTracer tracer;
   const auto& layout = cluster.metadata().create("o", 64 * KiB, FilePolicy{});
-  cluster.storage_by_node(layout.targets[0].node).pspin().set_trace(&sink);
+  cluster.storage_by_node(layout.targets[0].node).pspin().set_span_tracer(&tracer);
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
 
   Rng rng(1);
@@ -66,32 +88,24 @@ TEST(TraceSink, DeviceIntegrationRecordsEveryHandler) {
   client.write(layout, cap, data, [](bool, TimePs) {});
   cluster.sim().run();
 
-  // 10000 B -> 5 packets: 1 HH + 5 PH + 1 CH = 7 handler executions.
-  ASSERT_EQ(sink.size(), 7u);
+  // 10000 B -> 5 packets: 1 HH + 5 PH + 1 CH = 7 handler executions, each
+  // on lane cluster*1000 + hpu.
+  const auto spans = handler_spans(tracer);
+  ASSERT_EQ(spans.size(), 7u);
   unsigned hh = 0, ph = 0, ch = 0;
-  for (const auto& r : sink.records()) {
-    EXPECT_LT(r.start, r.end);
-    EXPECT_LT(r.cluster, 4u);
-    EXPECT_LT(r.hpu, 8u);
-    switch (r.type) {
-      case spin::HandlerType::kHeader: ++hh; break;
-      case spin::HandlerType::kPayload: ++ph; break;
-      case spin::HandlerType::kCompletion: ++ch; break;
-    }
+  for (const auto& s : spans) {
+    EXPECT_EQ(s.node, layout.targets[0].node);
+    EXPECT_LT(s.start_ps, s.end_ps);
+    EXPECT_LT(s.lane / 1000, 4u);  // cluster
+    EXPECT_LT(s.lane % 1000, 8u);  // hpu
+    const std::string name = s.name;
+    if (name == "HH") ++hh;
+    if (name == "PH") ++ph;
+    if (name == "CH") ++ch;
   }
   EXPECT_EQ(hh, 1u);
   EXPECT_EQ(ph, 5u);
   EXPECT_EQ(ch, 1u);
-}
-
-TEST(TraceSink, ExportParsesAsStrictJson) {
-  pspin::TraceSink sink;
-  sink.record({1, 0, 3, spin::HandlerType::kHeader, 7, 0, 120, ns(100), ns(311)});
-  sink.record({1, 2, 4, spin::HandlerType::kPayload, 7, 1, 55, ns(300), ns(392)});
-  std::ostringstream out;
-  sink.export_chrome_json(out);
-  std::string err;
-  EXPECT_TRUE(obs::json_valid(out.str(), &err)) << err;
 }
 
 // ---------------------------------------------- cross-layer span tracer
@@ -204,18 +218,18 @@ TEST(SpanTracer, WholeSystemWriteCorrelatesAcrossLayers) {
   EXPECT_EQ(tracer.size(), before);
 }
 
-TEST(TraceSink, DetachedDeviceRecordsNothing) {
+TEST(SpanTracer, DetachedDeviceRecordsNothing) {
   Cluster cluster;
   Client client(cluster, 0);
-  pspin::TraceSink sink;
+  obs::SpanTracer tracer;
   const auto& layout = cluster.metadata().create("o", 8 * KiB, FilePolicy{});
   auto& node = cluster.storage_by_node(layout.targets[0].node);
-  node.pspin().set_trace(&sink);
-  node.pspin().set_trace(nullptr);  // detach again
+  node.pspin().set_span_tracer(&tracer);
+  node.pspin().set_span_tracer(nullptr);  // detach again
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
   client.write(layout, cap, Bytes(1024, 1), [](bool, TimePs) {});
   cluster.sim().run();
-  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_EQ(tracer.size(), 0u);
 }
 
 }  // namespace
