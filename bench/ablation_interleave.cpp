@@ -35,7 +35,7 @@ Point run(std::size_t block, bool interleave) {
 
   Point p;
   client.write(layout, cap, random_bytes(block, 9),
-               [&](bool, TimePs at) { p.latency_ns = to_ns(at); });
+               [&](dfs::DfsError, TimePs at) { p.latency_ns = to_ns(at); });
   cluster.sim().run();
   for (std::size_t n = 0; n < cluster.storage_node_count(); ++n) {
     p.acc_high_water =

@@ -112,7 +112,7 @@ RebalancePoint run_rebalance(std::uint64_t bytes_per_tick, unsigned objects) {
   for (unsigned i = 0; i < objects; ++i) {
     const auto& l = meta.create("r" + std::to_string(i), size, services::FilePolicy{});
     const auto cap = meta.grant(writer.client_id(), l, auth::Right::kWrite);
-    writer.write(l, cap, pattern_bytes(size, i), [](bool, TimePs) {});
+    writer.write(l, cap, pattern_bytes(size, i), [](dfs::DfsError, TimePs) {});
     cluster.sim().run();
   }
   for (std::size_t i = 1; i < cluster.storage_node_count(); ++i) {

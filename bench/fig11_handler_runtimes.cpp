@@ -39,7 +39,8 @@ pspin::HandlerStats collect(dfs::ReplStrategy strategy, std::uint8_t k) {
           "f" + std::to_string(c) + "_" + std::to_string(w), 512 * KiB, policy);
       const auto cap =
           cluster.metadata().grant(clients[c]->client_id(), layout, auth::Right::kWrite);
-      clients[c]->write(layout, cap, random_bytes(512 * KiB, c * 10 + w), [](bool, TimePs) {});
+      clients[c]->write(layout, cap, random_bytes(512 * KiB, c * 10 + w),
+                        [](dfs::DfsError, TimePs) {});
     }
   }
   cluster.sim().run();

@@ -50,10 +50,11 @@ inline Measurement measure_write(const ClusterConfig& ccfg, const FilePolicy& po
   auto proto = factory(cluster);
 
   Measurement m;
-  proto->write(client, layout, cap, random_bytes(write_size, seed), [&](bool ok, TimePs at) {
-    m.ok = ok;
-    m.latency_ns = to_ns(at);
-  });
+  proto->write(client, layout, cap, random_bytes(write_size, seed),
+               [&](dfs::DfsError err, TimePs at) {
+                 m.ok = err == dfs::DfsError::kOk;
+                 m.latency_ns = to_ns(at);
+               });
   cluster.sim().run();
   MetricsAccumulator::instance().add(cluster.metrics().snapshot());
   return m;
@@ -108,7 +109,7 @@ inline GoodputResult measure_goodput(ClusterConfig ccfg, const FilePolicy& polic
       const auto cap =
           cluster.metadata().grant(clients[c]->client_id(), layout, auth::Right::kWrite);
       clients[c]->write(layout, cap, random_bytes(write_size, c * 1000 + w),
-                        [&completions](bool, TimePs) { ++completions; });
+                        [&completions](dfs::DfsError, TimePs) { ++completions; });
     }
   }
   cluster.sim().run();

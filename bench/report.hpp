@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace nadfs::bench {
 
 /// Process-wide accumulator for per-point cluster metric snapshots
@@ -150,13 +152,11 @@ class SweepReport {
     }
     std::fprintf(f, "%s],\n", csv_.empty() ? "" : "\n  ");
     // Summed cluster-metric snapshots across every measured point (empty
-    // object when the bench never harvested a cluster). Histogram families
-    // additionally get derived .p50_ns/.p99_ns percentile entries —
-    // summing log2 buckets across snapshots yields a valid merged
-    // histogram, so the percentiles cover every measured point.
+    // object when the bench never harvested a cluster). Quantile-sketch
+    // families additionally get derived .p50_ns/.p99_ns entries.
     const auto& acc = MetricsAccumulator::instance();
     auto totals = acc.totals();
-    add_hist_percentiles(totals);
+    add_sketch_percentiles(totals);
     std::fprintf(f, "  \"metric_snapshots\": %zu,\n  \"metrics\": {", acc.snapshots());
     std::size_t i = 0;
     for (const auto& [metric, value] : totals) {
@@ -168,15 +168,13 @@ class SweepReport {
   }
 
  private:
-  /// Derive p50/p99 (in ns) for every histogram family in `totals` and
-  /// insert them as "<base>.p50_ns"/"<base>.p99_ns". A family is a
-  /// "<base>.count" entry with a "<base>.max_ps" sibling (only
-  /// MetricRegistry's histogram flattening emits that pair); its buckets
-  /// are the nonzero "<base>.b<k>" entries, where bucket k counts
-  /// durations with floor(log2(ns)) == k, i.e. the span [2^k, 2^{k+1}) ns
-  /// (bucket 0 spans [0, 2)). Linear interpolation within the bucket that
-  /// crosses the target rank.
-  static void add_hist_percentiles(std::map<std::string, long long>& totals) {
+  /// Derive p50/p99 (in ns) for every obs::QuantileSketch family in
+  /// `totals` and insert them as "<base>.p50_ns"/"<base>.p99_ns". A family
+  /// is a "<base>.count" entry with a "<base>.max_ps" sibling; its buckets
+  /// are the nonzero "<base>.s<i>" sub-bucket entries. Summing sub-buckets
+  /// across snapshots yields a valid merged sketch, so the percentiles
+  /// cover every measured point.
+  static void add_sketch_percentiles(std::map<std::string, long long>& totals) {
     std::vector<std::pair<std::string, std::pair<long long, long long>>> derived;
     for (const auto& [name, count] : totals) {
       const std::string_view suffix = ".count";
@@ -186,11 +184,6 @@ class SweepReport {
       }
       const std::string base = name.substr(0, name.size() - suffix.size());
       if (count <= 0 || totals.find(base + ".max_ps") == totals.end()) continue;
-      // Quantile-sketch families (obs::QuantileSketch) flatten to ".s<i>"
-      // log-linear sub-buckets: 48 power-of-two majors x 32 linear slices.
-      // When present they beat the coarse ".b<k>" log2 buckets, turning
-      // the derived p50/p99 from bucket-boundary approximations into
-      // ~3%-accurate estimates.
       std::vector<std::pair<std::size_t, long long>> sub;
       for (const auto& [sname, svalue] : totals) {
         if (sname.size() <= base.size() + 2 || sname.compare(0, base.size(), base) != 0 ||
@@ -202,19 +195,10 @@ class SweepReport {
         sub.emplace_back(static_cast<std::size_t>(std::strtoull(idx.c_str(), nullptr, 10)),
                          svalue);
       }
-      if (!sub.empty()) {
-        std::sort(sub.begin(), sub.end());
-        derived.emplace_back(base, std::make_pair(sketch_percentile_ns(sub, count, 0.50),
-                                                  sketch_percentile_ns(sub, count, 0.99)));
-        continue;
-      }
-      std::vector<long long> buckets(48, 0);
-      for (std::size_t k = 0; k < buckets.size(); ++k) {
-        const auto it = totals.find(base + ".b" + std::to_string(k));
-        if (it != totals.end()) buckets[k] = it->second;
-      }
-      derived.emplace_back(base, std::make_pair(percentile_ns(buckets, count, 0.50),
-                                                percentile_ns(buckets, count, 0.99)));
+      if (sub.empty()) continue;
+      std::sort(sub.begin(), sub.end());
+      derived.emplace_back(base, std::make_pair(sketch_percentile_ns(sub, count, 0.50),
+                                                sketch_percentile_ns(sub, count, 0.99)));
     }
     for (const auto& [base, p] : derived) {
       totals[base + ".p50_ns"] = p.first;
@@ -222,12 +206,10 @@ class SweepReport {
     }
   }
 
-  /// Percentile from sorted (sub-bucket index, count) pairs of an
-  /// obs::QuantileSketch: major = i/32 is the log2(ns) bucket, the 32
-  /// slices of [2^major, 2^{major+1}) ns are linear.
+  /// Percentile from sorted (sub-bucket index, count) pairs, with linear
+  /// interpolation inside the sub-bucket that crosses the target rank.
   static long long sketch_percentile_ns(const std::vector<std::pair<std::size_t, long long>>& sub,
                                         long long count, double q) {
-    constexpr std::size_t kSub = 32;
     const double target = q * static_cast<double>(count);
     double cum = 0.0;
     for (const auto& [i, c] : sub) {
@@ -235,34 +217,10 @@ class SweepReport {
       const double prev = cum;
       cum += static_cast<double>(c);
       if (cum < target) continue;
-      const std::size_t major = i / kSub;
-      const std::size_t slice = i % kSub;
-      const double base = static_cast<double>(std::uint64_t{1} << major);
-      const double lo = i == 0 ? 0.0
-                               : base * static_cast<double>(kSub + slice) /
-                                     static_cast<double>(kSub);
-      const double hi =
-          base * static_cast<double>(kSub + slice + 1) / static_cast<double>(kSub);
+      const double lo = obs::QuantileSketch::bucket_lo_ns(i);
+      const double hi = obs::QuantileSketch::bucket_hi_ns(i);
       const double frac =
           std::min(1.0, std::max(0.0, (target - prev) / static_cast<double>(c)));
-      return static_cast<long long>(lo + (hi - lo) * frac + 0.5);
-    }
-    return 0;
-  }
-
-  static long long percentile_ns(const std::vector<long long>& buckets, long long count,
-                                 double q) {
-    const double target = q * static_cast<double>(count);
-    double cum = 0.0;
-    for (std::size_t k = 0; k < buckets.size(); ++k) {
-      if (buckets[k] <= 0) continue;
-      const double prev = cum;
-      cum += static_cast<double>(buckets[k]);
-      if (cum < target) continue;
-      const double lo = k == 0 ? 0.0 : static_cast<double>(std::uint64_t{1} << k);
-      const double hi = static_cast<double>(std::uint64_t{1} << (k + 1));
-      const double frac =
-          std::min(1.0, std::max(0.0, (target - prev) / static_cast<double>(buckets[k])));
       return static_cast<long long>(lo + (hi - lo) * frac + 0.5);
     }
     return 0;

@@ -56,8 +56,8 @@ int main() {
   // A healthy client keeps working against the same node.
   Bytes good(64 * KiB, 0x5A);
   bool healthy_ok = false;
-  healthy.write(fine, cap_fine, good, [&](bool ok, TimePs at) {
-    healthy_ok = ok;
+  healthy.write(fine, cap_fine, good, [&](dfs::DfsError err, TimePs at) {
+    healthy_ok = err == dfs::DfsError::kOk;
     std::printf("healthy client's write acked at %s\n", format_time(at).c_str());
   });
 

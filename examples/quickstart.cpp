@@ -53,8 +53,9 @@ int main() {
   for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::uint8_t>(i);
 
   TimePs write_done = 0;
-  client.write(layout, cap, payload, [&](bool ok, TimePs at) {
-    std::printf("write %s in %s\n", ok ? "acknowledged" : "REJECTED",
+  client.write(layout, cap, payload, [&](dfs::DfsError err, TimePs at) {
+    std::printf("write %s in %s\n",
+                err == dfs::DfsError::kOk ? "acknowledged" : dfs::dfs_error_name(err),
                 format_time(at).c_str());
     write_done = at;
   });
@@ -64,8 +65,8 @@ int main() {
   // scatter-gather sends (no storage-CPU involvement either).
   const TimePs read_issued = cluster.sim().now();
   client.read(layout, cap, static_cast<std::uint32_t>(payload.size()),
-              [&](Bytes data, TimePs at) {
-                const bool match = data == payload;
+              [&](dfs::DfsError err, Bytes data, TimePs at) {
+                const bool match = err == dfs::DfsError::kOk && data == payload;
                 std::printf("read %zu bytes in %s: %s\n", data.size(),
                             format_time(at - read_issued).c_str(),
                             match ? "contents verified" : "MISMATCH");

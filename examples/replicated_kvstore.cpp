@@ -30,8 +30,9 @@ class KvStore {
     policy_.repl_k = replication;
   }
 
-  /// Asynchronous put; `cb(ok, latency)` fires when all replicas committed.
-  void put(const std::string& key, Bytes value, std::function<void(bool, TimePs)> cb) {
+  /// Asynchronous put; `cb(err, latency)` fires when all replicas committed
+  /// (err == kOk) or the write failed.
+  void put(const std::string& key, Bytes value, OpCb cb) {
     const FileLayout* layout = cluster_.metadata().lookup("/kv/" + key);
     if (!layout) {
       layout = &cluster_.metadata().create("/kv/" + key, kMaxValue, policy_);
@@ -41,21 +42,23 @@ class KvStore {
     sizes_[key] = value.size();
     const TimePs issued = cluster_.sim().now();
     client_.write(*layout, cap, std::move(value),
-                  [cb = std::move(cb), issued](bool ok, TimePs at) { cb(ok, at - issued); });
+                  [cb = std::move(cb), issued](dfs::DfsError err, TimePs at) {
+                    cb(err, at - issued);
+                  });
   }
 
-  /// Asynchronous get from the primary replica.
-  void get(const std::string& key, std::function<void(Bytes, TimePs)> cb) {
+  /// Asynchronous get from the primary replica; `cb(err, value, latency)`.
+  void get(const std::string& key, ReadCb cb) {
     const FileLayout* layout = cluster_.metadata().lookup("/kv/" + key);
     if (!layout) {
-      cb({}, 0);
+      cb(dfs::DfsError::kNotFound, {}, 0);
       return;
     }
     const auto cap = cluster_.metadata().grant(client_.client_id(), *layout, auth::Right::kRead);
     const TimePs issued = cluster_.sim().now();
     client_.read(*layout, cap, static_cast<std::uint32_t>(sizes_.at(key)),
-                 [cb = std::move(cb), issued](Bytes data, TimePs at) {
-                   cb(std::move(data), at - issued);
+                 [cb = std::move(cb), issued](dfs::DfsError err, Bytes data, TimePs at) {
+                   cb(err, std::move(data), at - issued);
                  });
   }
 
@@ -94,8 +97,8 @@ int main() {
     Bytes value(128u << rng.next_below(9));
     for (auto& b : value) b = rng.next_byte();
     expected[key] = value;
-    kv.put(key, value, [&](bool ok, TimePs lat) {
-      if (ok) {
+    kv.put(key, value, [&](dfs::DfsError err, TimePs lat) {
+      if (err == dfs::DfsError::kOk) {
         ++commits;
         put_lat.add(to_ns(lat));
       }
@@ -109,9 +112,9 @@ int main() {
   // Read everything back through the offloaded read path.
   int verified = 0;
   for (const auto& [key, value] : expected) {
-    kv.get(key, [&, key = key](Bytes data, TimePs lat) {
+    kv.get(key, [&, key = key](dfs::DfsError err, Bytes data, TimePs lat) {
       get_lat.add(to_ns(lat));
-      if (data == expected.at(key)) ++verified;
+      if (err == dfs::DfsError::kOk && data == expected.at(key)) ++verified;
     });
   }
   cluster.sim().run();

@@ -131,7 +131,7 @@ OBS_DIR="$BUILD_DIR/obs-artifacts"
 mkdir -p "$OBS_DIR"
 (cd "$OBS_DIR" && "../examples/chaos_trace")
 python3 - "$OBS_DIR" <<'EOF'
-import json, sys, os
+import json, os, re, sys
 d = sys.argv[1]
 for f in ("chaos_trace.json", "chaos_trace_metrics.json"):
     with open(os.path.join(d, f)) as fh:
@@ -140,10 +140,23 @@ for f in ("chaos_trace.json", "chaos_trace_metrics.json"):
         assert doc["traceEvents"], "empty traceEvents"
     else:
         assert doc, "empty metric snapshot"
+        metrics = doc
+# One latency instrument: client op latency is a quantile sketch under the
+# plain name (count + .s<i> sub-buckets), with no log2 .b<k> histogram keys
+# and no second *_q sketch family.
+assert not [k for k in metrics if re.search(r"\.b\d+$", k)], "log2 histogram keys present"
+assert not [k for k in metrics if re.search(r"_q\.", k)], "duplicate _q sketch family present"
+writers = [k[:-len(".count")] for k, v in metrics.items()
+           if re.fullmatch(r"client\d+\.write_latency\.count", k) and v > 0]
+assert writers, "no client write_latency samples"
+for base in writers:
+    assert any(re.fullmatch(re.escape(base) + r"\.s\d+", k) for k in metrics), \
+        f"{base} has no sketch sub-buckets"
 with open(os.path.join(d, "chaos_trace_timeseries.csv")) as fh:
     rows = fh.read().strip().splitlines()
 assert len(rows) > 1 and rows[0].startswith("t_ns,"), "bad timeseries CSV"
-print(f"obs artifacts OK: {len(rows)-1} samples, trace + metrics parse")
+print(f"obs artifacts OK: {len(rows)-1} samples, trace + metrics parse, "
+      f"{len(writers)} client latency sketch(es)")
 EOF
 
 # The obs compile-out gate must stay buildable: with NADFS_OBS=OFF the

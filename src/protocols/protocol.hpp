@@ -6,10 +6,11 @@
 //   Fig. 15 (EC):         InecTriEc, SpinWrite over an EC layout
 //
 // Every protocol implements the same call: perform one write of `data`
-// against `layout` on behalf of `client`, invoking `cb(ok, t)` when the
+// against `layout` on behalf of `client`, invoking `cb(err, t)` when the
 // write is complete under that protocol's own completion rule (transport
 // acks for raw RDMA, DFS acks from handlers for sPIN, tail acks for
-// HyperLoop, ...). Benches measure cb-time minus issue-time.
+// HyperLoop, ...). `err` is kOk on success, the typed DFS error of a
+// NACK or denial otherwise. Benches measure cb-time minus issue-time.
 //
 // Protocols that need storage-side software (RPC servers, CPU forwarding,
 // the INEC accelerator emulation) install it on every storage node at
@@ -23,15 +24,15 @@ namespace nadfs::protocols {
 
 using services::Client;
 using services::Cluster;
-using services::DoneCb;
 using services::FileLayout;
+using services::OpCb;
 
 class WriteProtocol {
  public:
   virtual ~WriteProtocol() = default;
   virtual const char* name() const = 0;
   virtual void write(Client& client, const FileLayout& layout, const auth::Capability& cap,
-                     Bytes data, DoneCb cb) = 0;
+                     Bytes data, OpCb cb) = 0;
 };
 
 /// The paper's offloaded path: one DFS-formatted one-sided write; all
@@ -42,7 +43,7 @@ class SpinWrite final : public WriteProtocol {
  public:
   const char* name() const override { return "sPIN"; }
   void write(Client& client, const FileLayout& layout, const auth::Capability& cap, Bytes data,
-             DoneCb cb) override {
+             OpCb cb) override {
     client.write(layout, cap, std::move(data), std::move(cb));
   }
 };

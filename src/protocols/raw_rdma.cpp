@@ -18,23 +18,23 @@ std::unordered_map<net::NodeId, std::uint32_t> register_all(Cluster& cluster) {
 RawWrite::RawWrite(Cluster& cluster) : cluster_(cluster), rkeys_(register_all(cluster)) {}
 
 void RawWrite::write(Client& client, const FileLayout& layout, const auth::Capability& cap,
-                     Bytes data, DoneCb cb) {
+                     Bytes data, OpCb cb) {
   (void)cap;  // raw writes enforce no policy
   const auto& target = layout.targets.front();
   client.node().nic().post_write(target.node, target.addr, rkey_for(target.node),
                                  std::move(data),
-                                 [cb = std::move(cb)](TimePs at) { cb(true, at); });
+                                 [cb = std::move(cb)](TimePs at) { cb(dfs::DfsError::kOk, at); });
 }
 
 RdmaFlat::RdmaFlat(Cluster& cluster) : cluster_(cluster), rkeys_(register_all(cluster)) {}
 
 void RdmaFlat::write(Client& client, const FileLayout& layout, const auth::Capability& cap,
-                     Bytes data, DoneCb cb) {
+                     Bytes data, OpCb cb) {
   (void)cap;  // RDMA-Flat fully trusts clients (paper §V-B)
   struct Latch {
     unsigned remaining;
     TimePs last = 0;
-    DoneCb cb;
+    OpCb cb;
   };
   auto latch = std::make_shared<Latch>();
   latch->remaining = static_cast<unsigned>(layout.targets.size());
@@ -44,7 +44,9 @@ void RdmaFlat::write(Client& client, const FileLayout& layout, const auth::Capab
     client.node().nic().post_write(target.node, target.addr, rkeys_.at(target.node), data,
                                    [latch](TimePs at) {
                                      latch->last = std::max(latch->last, at);
-                                     if (--latch->remaining == 0) latch->cb(true, latch->last);
+                                     if (--latch->remaining == 0) {
+                                       latch->cb(dfs::DfsError::kOk, latch->last);
+                                     }
                                    });
   }
 }

@@ -14,6 +14,14 @@ struct RdmaDescriptor {
 constexpr std::uint8_t kStatusOk = 0;
 constexpr std::uint8_t kStatusDenied = 1;
 
+/// Client-side decode of the one-byte server reply; anything but a known
+/// status (an empty reply included) is malformed.
+dfs::DfsError reply_error(const Bytes& msg) {
+  if (msg.size() == 1 && msg[0] == kStatusOk) return dfs::DfsError::kOk;
+  if (msg.size() == 1 && msg[0] == kStatusDenied) return dfs::DfsError::kDenied;
+  return dfs::DfsError::kMalformed;
+}
+
 Bytes encode_request(const dfs::DfsHeader& hdr, const dfs::WriteRequestHeader& wrh,
                      ByteSpan payload) {
   Bytes out;
@@ -69,7 +77,7 @@ RpcWrite::RpcWrite(Cluster& cluster) : cluster_(cluster) {
 }
 
 void RpcWrite::write(Client& client, const FileLayout& layout, const auth::Capability& cap,
-                     Bytes data, DoneCb cb) {
+                     Bytes data, OpCb cb) {
   dfs::DfsHeader hdr;
   hdr.op = dfs::OpType::kWrite;
   hdr.greq_id = client.next_greq();
@@ -80,10 +88,10 @@ void RpcWrite::write(Client& client, const FileLayout& layout, const auth::Capab
   wrh.total_len = data.size();
 
   // Route the response through the client NIC's recv handler.
-  auto cb_holder = std::make_shared<DoneCb>(std::move(cb));
+  auto cb_holder = std::make_shared<OpCb>(std::move(cb));
   client.node().nic().set_recv_handler(
       [cb_holder](net::NodeId, std::uint64_t, Bytes msg, TimePs at) {
-        (*cb_holder)(!msg.empty() && msg[0] == kStatusOk, at);
+        (*cb_holder)(reply_error(msg), at);
       });
   client.node().nic().post_send(layout.targets.front().node, hdr.greq_id,
                                 encode_request(hdr, wrh, data));
@@ -133,7 +141,7 @@ RpcRdmaWrite::RpcRdmaWrite(Cluster& cluster) : cluster_(cluster) {
 }
 
 void RpcRdmaWrite::write(Client& client, const FileLayout& layout, const auth::Capability& cap,
-                         Bytes data, DoneCb cb) {
+                         Bytes data, OpCb cb) {
   // Stage the data in client RAM and expose it over RDMA.
   const std::uint64_t staging = 0x10000000ull;  // fixed staging window
   client.node().ram().write(staging, data);
@@ -156,10 +164,10 @@ void RpcRdmaWrite::write(Client& client, const FileLayout& layout, const auth::C
   w.put(rkey);
   w.put(static_cast<std::uint32_t>(data.size()));
 
-  auto cb_holder = std::make_shared<DoneCb>(std::move(cb));
+  auto cb_holder = std::make_shared<OpCb>(std::move(cb));
   client.node().nic().set_recv_handler(
       [cb_holder](net::NodeId, std::uint64_t, Bytes msg, TimePs at) {
-        (*cb_holder)(!msg.empty() && msg[0] == kStatusOk, at);
+        (*cb_holder)(reply_error(msg), at);
       });
   client.node().nic().post_send(layout.targets.front().node, hdr.greq_id, std::move(req));
 }

@@ -24,7 +24,7 @@ class RpcWrite final : public WriteProtocol {
   explicit RpcWrite(Cluster& cluster);
   const char* name() const override { return "RPC"; }
   void write(Client& client, const FileLayout& layout, const auth::Capability& cap, Bytes data,
-             DoneCb cb) override;
+             OpCb cb) override;
 
   std::uint64_t validation_failures() const { return *failures_; }
 
@@ -38,7 +38,7 @@ class RpcRdmaWrite final : public WriteProtocol {
   explicit RpcRdmaWrite(Cluster& cluster);
   const char* name() const override { return "RPC+RDMA"; }
   void write(Client& client, const FileLayout& layout, const auth::Capability& cap, Bytes data,
-             DoneCb cb) override;
+             OpCb cb) override;
 
  private:
   Cluster& cluster_;

@@ -8,13 +8,6 @@
 namespace nadfs::services {
 
 namespace {
-/// Collapse a typed completion to the legacy bool contract.
-OpCb wrap_done(DoneCb cb) {
-  return [cb = std::move(cb)](dfs::DfsError err, TimePs at) {
-    cb(err == dfs::DfsError::kOk, at);
-  };
-}
-
 bool transient_error(dfs::DfsError err) {
   switch (err) {
     case dfs::DfsError::kDenied:     // request-table denial classics retry
@@ -69,17 +62,9 @@ void AckTracker::expect(std::uint64_t tag, unsigned acks_needed, OpCb cb) {
   ops_.emplace(tag, Op{acks_needed, 0, std::move(cb)});
 }
 
-void AckTracker::expect(std::uint64_t tag, unsigned acks_needed, DoneCb cb) {
-  expect(tag, acks_needed, wrap_done(std::move(cb)));
-}
-
 void AckTracker::replace(std::uint64_t tag, unsigned acks_needed, OpCb cb) {
   if (ops_.erase(tag) != 0) ++replaced_ops_;
   ops_.emplace(tag, Op{acks_needed, 0, std::move(cb)});
-}
-
-void AckTracker::replace(std::uint64_t tag, unsigned acks_needed, DoneCb cb) {
-  replace(tag, acks_needed, wrap_done(std::move(cb)));
 }
 
 void AckTracker::cancel(std::uint64_t tag) { ops_.erase(tag); }
@@ -108,30 +93,23 @@ Client::Client(Cluster& cluster, std::size_t client_idx)
   reg.counter_cell(metrics_prefix_ + ".replaced_ops", &tracker_.replaced_ops_);
   reg.gauge(metrics_prefix_ + ".pending_ops",
             [this] { return static_cast<long long>(tracker_.pending_count()); });
-  reg.histogram(metrics_prefix_ + ".write_latency", write_latency_);
-  reg.histogram(metrics_prefix_ + ".read_latency", read_latency_);
-  reg.sketch(metrics_prefix_ + ".write_latency_q", write_latency_q_);
-  reg.sketch(metrics_prefix_ + ".read_latency_q", read_latency_q_);
+  reg.sketch(metrics_prefix_ + ".write_latency", write_latency_);
+  reg.sketch(metrics_prefix_ + ".read_latency", read_latency_);
 }
 
 Client::~Client() { cluster_.metrics().remove_prefix(metrics_prefix_); }
 
 void Client::note_op(const char* name, const char* failed_name, bool ok, std::uint64_t greq,
-                     TimePs issued, TimePs at, obs::SimTimeHist& hist,
-                     obs::QuantileSketch& sketch) {
+                     TimePs issued, TimePs at, obs::QuantileSketch& latency) {
   if constexpr (!obs::kObsEnabled) {
-    (void)name, (void)failed_name, (void)ok, (void)greq, (void)issued, (void)at, (void)hist;
-    (void)sketch;
+    (void)name, (void)failed_name, (void)ok, (void)greq, (void)issued, (void)at, (void)latency;
     return;
   }
   if (auto* tracer = cluster_.tracer()) {
     tracer->record({node_.id(), obs::kLaneClientOp, "op", ok ? name : failed_name, greq, greq, 0,
                     0, issued, at});
   }
-  if (ok) {
-    hist.record(at - issued);
-    sketch.record(at - issued);
-  }
+  if (ok) latency.record(at - issued);
 }
 
 unsigned Client::acks_for(const FileLayout& layout) {
@@ -148,16 +126,6 @@ unsigned Client::acks_for(const FileLayout& layout) {
 
 void Client::write(const FileLayout& layout, const auth::Capability& cap, Bytes data, OpCb cb) {
   write_at(layout, cap, 0, std::move(data), std::move(cb));
-}
-
-void Client::write(const FileLayout& layout, const auth::Capability& cap, Bytes data,
-                   DoneCb cb) {
-  write_at(layout, cap, 0, std::move(data), wrap_done(std::move(cb)));
-}
-
-void Client::write_at(const FileLayout& layout, const auth::Capability& cap,
-                      std::uint64_t offset, Bytes data, DoneCb cb) {
-  write_at(layout, cap, offset, std::move(data), wrap_done(std::move(cb)));
 }
 
 void Client::write_at(const FileLayout& layout, const auth::Capability& cap,
@@ -207,11 +175,11 @@ void Client::striped_write(const FileLayout& layout, const auth::Capability& cap
   }
   latch->remaining = static_cast<unsigned>(units.size());
   for (auto& [target, bytes] : units) {
-    write_extent(target, cap, std::move(bytes), OpCb([latch](dfs::DfsError err, TimePs at) {
-                   if (latch->err == dfs::DfsError::kOk) latch->err = err;
-                   latch->last = std::max(latch->last, at);
-                   if (--latch->remaining == 0) latch->cb(latch->err, latch->last);
-                 }));
+    write_extent(target, cap, std::move(bytes), [latch](dfs::DfsError err, TimePs at) {
+      if (latch->err == dfs::DfsError::kOk) latch->err = err;
+      latch->last = std::max(latch->last, at);
+      if (--latch->remaining == 0) latch->cb(latch->err, latch->last);
+    });
   }
 }
 
@@ -251,8 +219,7 @@ void Client::striped_read(const FileLayout& layout, const auth::Capability& cap,
   gather->remaining = static_cast<unsigned>(units.size());
   for (const auto& unit : units) {
     read_extent(unit.target, cap, unit.n,
-                ReadCb([gather, out_off = unit.out_off](dfs::DfsError err, Bytes part,
-                                                        TimePs at) {
+                [gather, out_off = unit.out_off](dfs::DfsError err, Bytes part, TimePs at) {
                   if (gather->err == dfs::DfsError::kOk) gather->err = err;
                   std::copy(part.begin(), part.end(),
                             gather->data.begin() + static_cast<std::ptrdiff_t>(out_off));
@@ -263,7 +230,7 @@ void Client::striped_read(const FileLayout& layout, const auth::Capability& cap,
                                                                  : Bytes{},
                                gather->last);
                   }
-                }));
+                });
   }
 }
 
@@ -278,7 +245,7 @@ OpCb Client::make_write_completion(std::uint64_t greq, OpCb cb, unsigned attempt
   return [this, greq, issued, cb = std::move(cb), attempts_left,
           reissue = std::move(reissue)](dfs::DfsError err, TimePs at) mutable {
     const bool ok = err == dfs::DfsError::kOk;
-    note_op("write", "write_failed", ok, greq, issued, at, write_latency_, write_latency_q_);
+    note_op("write", "write_failed", ok, greq, issued, at, write_latency_);
     if (ok || attempts_left == 0 || !transient_error(err)) {
       cb(err, at);
       return;
@@ -424,25 +391,6 @@ void Client::read(const FileLayout& layout, const auth::Capability& cap, std::ui
   read_at(layout, cap, 0, len, std::move(cb));
 }
 
-void Client::read(const FileLayout& layout, const auth::Capability& cap, std::uint32_t len,
-                  std::function<void(Bytes, TimePs)> cb) {
-  read_at(layout, cap, 0, len, std::move(cb));
-}
-
-void Client::read_at(const FileLayout& layout, const auth::Capability& cap,
-                     std::uint64_t offset, std::uint32_t len,
-                     std::function<void(Bytes, TimePs)> cb) {
-  if (len == 0) {
-    // The legacy contract signals failure with an empty buffer; zero-length
-    // reads would make it ambiguous. The typed overload reports kBadArg.
-    throw std::invalid_argument("Client::read: zero-length read");
-  }
-  read_at(layout, cap, offset, len,
-          ReadCb([cb = std::move(cb)](dfs::DfsError, Bytes data, TimePs at) mutable {
-            cb(std::move(data), at);
-          }));
-}
-
 void Client::read_at(const FileLayout& layout, const auth::Capability& cap,
                      std::uint64_t offset, std::uint32_t len, ReadCb cb) {
   if (layout.striped()) {
@@ -457,18 +405,6 @@ void Client::read_at(const FileLayout& layout, const auth::Capability& cap,
 void Client::read_extent(const dfs::Coord& coord, const auth::Capability& cap,
                          std::uint32_t len, ReadCb cb) {
   start_read(coord, cap, len, std::move(cb), max_retries_);
-}
-
-void Client::read_extent(const dfs::Coord& coord, const auth::Capability& cap,
-                         std::uint32_t len, std::function<void(Bytes, TimePs)> cb) {
-  if (len == 0) {
-    throw std::invalid_argument("Client::read_extent: zero-length read");
-  }
-  start_read(coord, cap, len,
-             ReadCb([cb = std::move(cb)](dfs::DfsError, Bytes data, TimePs at) mutable {
-               cb(std::move(data), at);
-             }),
-             max_retries_);
 }
 
 void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, std::uint32_t len,
@@ -493,7 +429,7 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
                                        greq, issued]() mutable {
       if (!node_.nic().cancel_read(greq)) return;  // answered or NACKed in time
       tracker_.cancel(greq);
-      note_op("read", "read_failed", false, greq, issued, cluster_.sim().now(), read_latency_, read_latency_q_);
+      note_op("read", "read_failed", false, greq, issued, cluster_.sim().now(), read_latency_);
       ++op_timeouts_;
       if (attempts_left == 0) {
         (*shared_cb)(dfs::DfsError::kTimeout, Bytes{}, cluster_.sim().now());
@@ -512,10 +448,10 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
   // deadline. The huge acks_needed keeps stray ACKs from completing it.
   tracker_.expect(
       greq, std::numeric_limits<unsigned>::max(),
-      OpCb([this, coord, cap, len, shared_cb, attempts_left, greq,
-            issued](dfs::DfsError err, TimePs at) mutable {
+      [this, coord, cap, len, shared_cb, attempts_left, greq, issued](dfs::DfsError err,
+                                                                       TimePs at) mutable {
         node_.nic().cancel_read(greq);
-        note_op("read", "read_failed", false, greq, issued, at, read_latency_, read_latency_q_);
+        note_op("read", "read_failed", false, greq, issued, at, read_latency_);
         if (attempts_left == 0 || !transient_error(err)) {
           (*shared_cb)(err, Bytes{}, at);
           return;
@@ -526,11 +462,11 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
             retry_delay(attempts_left), [this, coord, cap, len, shared_cb, attempts_left]() {
               start_read(coord, cap, len, std::move(*shared_cb), attempts_left - 1);
             });
-      }));
+      });
   node_.nic().expect_read_response(
       greq, len, [this, greq, issued, shared_cb](Bytes data, TimePs at) {
         tracker_.cancel(greq);
-        note_op("read", "read_failed", true, greq, issued, at, read_latency_, read_latency_q_);
+        note_op("read", "read_failed", true, greq, issued, at, read_latency_);
         (*shared_cb)(dfs::DfsError::kOk, std::move(data), at);
       });
   dfs::DfsHeader hdr;
@@ -547,11 +483,6 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
 void Client::write_extent(const dfs::Coord& coord, const auth::Capability& cap, Bytes data,
                           OpCb cb) {
   start_extent_write(coord, cap, std::move(data), std::move(cb), max_retries_);
-}
-
-void Client::write_extent(const dfs::Coord& coord, const auth::Capability& cap, Bytes data,
-                          DoneCb cb) {
-  start_extent_write(coord, cap, std::move(data), wrap_done(std::move(cb)), max_retries_);
 }
 
 void Client::start_extent_write(const dfs::Coord& coord, const auth::Capability& cap, Bytes data,
@@ -678,15 +609,15 @@ void Client::remove(const std::string& name, const auth::Capability& cap, OpCb c
   latch->cb = std::move(cb);
   latch->remaining = static_cast<unsigned>(extents.size());
   for (const auto& coord : extents) {
-    trim_extent(coord, cap, span, OpCb([this, latch, name](dfs::DfsError err, TimePs at) {
-                  if (latch->err == dfs::DfsError::kOk) latch->err = err;
-                  latch->last = std::max(latch->last, at);
-                  if (--latch->remaining != 0) return;
-                  if (latch->err == dfs::DfsError::kOk) {
-                    cluster_.metadata().remove(name);
-                  }
-                  latch->cb(latch->err, latch->last);
-                }));
+    trim_extent(coord, cap, span, [this, latch, name](dfs::DfsError err, TimePs at) {
+      if (latch->err == dfs::DfsError::kOk) latch->err = err;
+      latch->last = std::max(latch->last, at);
+      if (--latch->remaining != 0) return;
+      if (latch->err == dfs::DfsError::kOk) {
+        cluster_.metadata().remove(name);
+      }
+      latch->cb(latch->err, latch->last);
+    });
   }
 }
 

@@ -20,10 +20,8 @@
 
 namespace nadfs::services {
 
-using DoneCb = std::function<void(bool ok, TimePs at)>;
 /// Typed completion: kOk on success, the NACK's wire error or kTimeout on
-/// failure. DfsError is a scoped enum (no bool conversion), so DoneCb and
-/// OpCb overloads resolve unambiguously for lambdas.
+/// failure.
 using OpCb = std::function<void(dfs::DfsError err, TimePs at)>;
 /// Typed read completion: data is meaningful only when err == kOk.
 using ReadCb = std::function<void(dfs::DfsError err, Bytes data, TimePs at)>;
@@ -40,12 +38,10 @@ class AckTracker {
   /// orphaned — exactly the hazard once timeout-retries re-arm tags. Use
   /// replace() when superseding is intended.
   void expect(std::uint64_t tag, unsigned acks_needed, OpCb cb);
-  void expect(std::uint64_t tag, unsigned acks_needed, DoneCb cb);
 
   /// Like expect(), but an existing pending op for `tag` is dropped (its
   /// callback never fires) and counted in replaced_ops().
   void replace(std::uint64_t tag, unsigned acks_needed, OpCb cb);
-  void replace(std::uint64_t tag, unsigned acks_needed, DoneCb cb);
 
   bool pending(std::uint64_t tag) const { return ops_.count(tag) != 0; }
   std::size_t pending_count() const { return ops_.size(); }
@@ -80,7 +76,7 @@ class AckTracker {
 
 class Client {
  public:
-  /// Registers the client's counters and op-latency histograms in the
+  /// Registers the client's counters and op-latency sketches in the
   /// cluster registry under "client<id>"; the destructor removes them
   /// (clients routinely die before the cluster).
   Client(Cluster& cluster, std::size_t client_idx);
@@ -105,37 +101,27 @@ class Client {
   void debug_set_next_seq(std::uint64_t seq) { next_seq_ = seq; }
 
   /// One-sided DFS write of `data` at object offset 0, policies per the
-  /// layout (plain, replicated, or erasure-coded). The typed overload's cb
-  /// fires with kOk when every expected DFS ack arrived, or with the NACK's
-  /// wire error / kTimeout after retries are exhausted; the DoneCb overload
-  /// collapses that to ok = (err == kOk).
+  /// layout (plain, replicated, or erasure-coded). `cb` fires with kOk when
+  /// every expected DFS ack arrived, or with the NACK's wire error /
+  /// kTimeout after retries are exhausted.
   void write(const FileLayout& layout, const auth::Capability& cap, Bytes data, OpCb cb);
-  void write(const FileLayout& layout, const auth::Capability& cap, Bytes data, DoneCb cb);
 
   /// Write at a byte offset within the object (plain and replicated
   /// layouts; EC objects are whole-object writes since parity spans all
   /// chunks).
   void write_at(const FileLayout& layout, const auth::Capability& cap, std::uint64_t offset,
                 Bytes data, OpCb cb);
-  void write_at(const FileLayout& layout, const auth::Capability& cap, std::uint64_t offset,
-                Bytes data, DoneCb cb);
 
   /// One-sided DFS read of `len` bytes at object offset 0 from the primary
-  /// target; the remote completion handler streams the data back. The typed
-  /// overload reports failures as kTimeout (retries exhausted), kBadArg
-  /// (zero-length read) or the NACK's error (e.g. kNotFound for a trimmed
-  /// extent); the legacy overload collapses every failure to an empty
-  /// buffer, which stays unambiguous because zero-length reads never reach
-  /// the wire.
+  /// target; the remote completion handler streams the data back. Failures
+  /// report kTimeout (retries exhausted), kBadArg (zero-length read, which
+  /// never reaches the wire) or the NACK's error (e.g. kNotFound for a
+  /// trimmed extent), always with an empty buffer.
   void read(const FileLayout& layout, const auth::Capability& cap, std::uint32_t len, ReadCb cb);
-  void read(const FileLayout& layout, const auth::Capability& cap, std::uint32_t len,
-            std::function<void(Bytes, TimePs)> cb);
 
   /// Read at a byte offset within the object.
   void read_at(const FileLayout& layout, const auth::Capability& cap, std::uint64_t offset,
                std::uint32_t len, ReadCb cb);
-  void read_at(const FileLayout& layout, const auth::Capability& cap, std::uint64_t offset,
-               std::uint32_t len, std::function<void(Bytes, TimePs)> cb);
 
   // ---- name-based operations (control plane + data plane) ----------------
   /// Create `name` in the metadata service: kExists on collision, kBadArg
@@ -165,12 +151,8 @@ class Client {
   /// Read [coord.addr, +len) from a specific storage node.
   void read_extent(const dfs::Coord& coord, const auth::Capability& cap, std::uint32_t len,
                    ReadCb cb);
-  void read_extent(const dfs::Coord& coord, const auth::Capability& cap, std::uint32_t len,
-                   std::function<void(Bytes, TimePs)> cb);
   /// Plain (no-resiliency) DFS write of `data` at a specific coordinate.
   void write_extent(const dfs::Coord& coord, const auth::Capability& cap, Bytes data, OpCb cb);
-  void write_extent(const dfs::Coord& coord, const auth::Capability& cap, Bytes data,
-                    DoneCb cb);
 
   /// Tombstone [coord.addr, +len) on a storage node (delete data plane):
   /// the sPIN CH trims, fences, and acks; later reads of the extent fail
@@ -219,14 +201,10 @@ class Client {
   /// aggregation-sequence lifetimes.
   void set_ec_interleaving(bool on) { ec_interleave_ = on; }
 
-  /// Per-attempt op latency (issue -> completion, successes only).
-  const obs::SimTimeHist& write_latency() const { return write_latency_; }
-  const obs::SimTimeHist& read_latency() const { return read_latency_; }
-  /// Same samples through the fine-grained quantile sketch (registered as
-  /// ".write_latency_q"/".read_latency_q"): BENCH p50/p99 derive from
-  /// these instead of log2 bucket boundaries.
-  const obs::QuantileSketch& write_latency_sketch() const { return write_latency_q_; }
-  const obs::QuantileSketch& read_latency_sketch() const { return read_latency_q_; }
+  /// Per-attempt op latency (issue -> completion, successes only), registered
+  /// as ".write_latency"/".read_latency"; BENCH p50/p99 derive from these.
+  const obs::QuantileSketch& write_latency() const { return write_latency_; }
+  const obs::QuantileSketch& read_latency() const { return read_latency_; }
 
  private:
   void write_plain(const FileLayout& layout, const auth::Capability& cap, std::uint64_t offset,
@@ -257,7 +235,7 @@ class Client {
 
   /// Op-attempt span + latency sample; `name`/`failed_name` are static.
   void note_op(const char* name, const char* failed_name, bool ok, std::uint64_t greq,
-               TimePs issued, TimePs at, obs::SimTimeHist& hist, obs::QuantileSketch& sketch);
+               TimePs issued, TimePs at, obs::QuantileSketch& latency);
 
   Cluster& cluster_;
   ClientNode& node_;
@@ -273,10 +251,8 @@ class Client {
   std::uint64_t deny_retries_ = 0;
   std::uint64_t timeout_retries_ = 0;
   std::uint64_t op_timeouts_ = 0;
-  obs::SimTimeHist write_latency_;
-  obs::SimTimeHist read_latency_;
-  obs::QuantileSketch write_latency_q_;
-  obs::QuantileSketch read_latency_q_;
+  obs::QuantileSketch write_latency_;
+  obs::QuantileSketch read_latency_;
   std::string metrics_prefix_;
 };
 

@@ -65,11 +65,11 @@ void FailureDetector::tick() {
 void FailureDetector::probe(std::size_t i) {
   nodes_[i].outstanding = true;
   ++probes_sent_;
-  prober_.read_extent(dfs::Coord{nodes_[i].id, 0}, probe_cap_, 1, [this, i](Bytes data,
-                                                                            TimePs at) {
+  prober_.read_extent(dfs::Coord{nodes_[i].id, 0}, probe_cap_, 1,
+                      [this, i](dfs::DfsError err, Bytes, TimePs at) {
     NodeState& ns = nodes_[i];
     ns.outstanding = false;
-    if (!data.empty()) {
+    if (err == dfs::DfsError::kOk) {
       // Heartbeat answered. A suspected node is rehabilitated; a
       // partition-held node additionally gets its placement hold lifted
       // (this is the heal path after a fabric cut). A failed node walks

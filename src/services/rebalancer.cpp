@@ -118,7 +118,7 @@ void Rebalancer::pump(std::uint64_t budget) {
     cluster_.metadata().remove_node(node);
     if (detector_) detector_->retire(node);
     ++drains_completed_;
-    if (cb) cb(true, cluster_.sim().now());
+    if (cb) cb(cluster_.sim().now());
   }
   auto cand = pick_candidate();
   if (!cand) return;
@@ -134,7 +134,7 @@ void Rebalancer::migrate(const Candidate& c, std::uint64_t budget) {
                                                 auth::Right::kRead, 0, c.from.addr, c.span);
   mover_.read_extent(
       c.from, rcap, static_cast<std::uint32_t>(c.span),
-      ReadCb([this, c, remaining, started](dfs::DfsError err, Bytes data, TimePs) {
+      [this, c, remaining, started](dfs::DfsError err, Bytes data, TimePs) {
         if (err != dfs::DfsError::kOk) {
           // Source unreadable (it died mid-migration, or a partition opened):
           // abandon — chunks on *failed* nodes are recovery's job, not ours.
@@ -164,7 +164,7 @@ void Rebalancer::migrate(const Candidate& c, std::uint64_t budget) {
                                                       auth::Right::kWrite, 0, to.addr, c.span);
         mover_.write_extent(
             to, wcap, std::move(data),
-            OpCb([this, c, to, remaining, started](dfs::DfsError werr, TimePs at) {
+            [this, c, to, remaining, started](dfs::DfsError werr, TimePs at) {
               move_active_ = false;
               const FileLayout* now = cluster_.metadata().lookup(c.name);
               const std::size_t n_targets = now == nullptr ? 0 : now->targets.size();
@@ -197,8 +197,8 @@ void Rebalancer::migrate(const Candidate& c, std::uint64_t budget) {
                                            c.object_id, 0, 0, c.span, started, at});
               }
               pump(remaining);
-            }));
-      }));
+            });
+      });
 }
 
 }  // namespace nadfs::services

@@ -72,9 +72,9 @@ class Rebalancer {
   /// it (MetadataService::drain), then the periodic tick migrates every
   /// extent it hosts off under the bandwidth budget. When the node is
   /// empty it is removed from the placement view (remove_node) and retired
-  /// from the detector, then `cb(true)` fires. Requires start().
-  /// Multiple drains queue FIFO.
-  using DrainCb = std::function<void(bool ok, TimePs at)>;
+  /// from the detector, then `cb(at)` fires with the completion time.
+  /// Requires start(). Multiple drains queue FIFO.
+  using DrainCb = std::function<void(TimePs at)>;
   void drain_node(net::NodeId node, DrainCb cb);
 
   /// Current hosted-bytes spread over eligible (placeable) nodes; 0 when

@@ -56,7 +56,7 @@ void RecoveryManager::issue_chunk_read(const std::shared_ptr<ChunkGather>& gathe
   const auto& coord = gather->coord(idx);
   client_.read_extent(
       coord, scoped_cap(gather->layout.object_id, auth::Right::kRead, coord, gather->chunk_len),
-      gather->chunk_len, ReadCb([this, gather, idx](dfs::DfsError err, Bytes data, TimePs at) {
+      gather->chunk_len, [this, gather, idx](dfs::DfsError err, Bytes data, TimePs at) {
         if (gather->done) return;
         gather->last = std::max(gather->last, at);
         if (err != dfs::DfsError::kOk) {
@@ -82,7 +82,7 @@ void RecoveryManager::issue_chunk_read(const std::shared_ptr<ChunkGather>& gathe
           gather->done = true;
           gather->cb(std::move(gather->chunks), gather->last);
         }
-      }));
+      });
 }
 
 void RecoveryManager::degraded_read(const FileLayout& layout,
@@ -219,8 +219,9 @@ void RecoveryManager::rebuild_now(const std::string& name, const std::set<net::N
           const auto wcap =
               scoped_cap(layout.object_id, auth::Right::kWrite, coord, layout.chunk_len);
           client_.write_extent(coord, wcap, *bytes,
-                               [this, progress, repaired_ptr, name, cb](bool ok, TimePs t) {
-                                 progress->ok &= ok;
+                               [this, progress, repaired_ptr, name, cb](dfs::DfsError err,
+                                                                        TimePs t) {
+                                 progress->ok &= err == dfs::DfsError::kOk;
                                  progress->last = std::max(progress->last, t);
                                  if (--progress->pending == 0) {
                                    // A rebuild racing a delete must not

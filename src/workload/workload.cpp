@@ -199,10 +199,9 @@ void Engine::execute_planned(const PlannedOp& p, int session) {
   stats_.offered_bytes += len;
   if (p.op == 1) {
     client.read_at(obj.layout, obj.cap, p.offset, len,
-                   services::ReadCb([this, ti, oi, len, session, issued](dfs::DfsError err, Bytes,
-                                                                         TimePs at) {
+                   [this, ti, oi, len, session, issued](dfs::DfsError err, Bytes, TimePs at) {
                      complete(ti, oi, 1, len, session, err, issued, at);
-                   }));
+                   });
     return;
   }
 

@@ -102,7 +102,10 @@ Bytes ec_plain_read(Cluster& cluster, Client& client, const services::FileLayout
         cluster.management().grant(client.client_id(), layout.object_id, auth::Right::kRead, 0,
                                    coord.addr, layout.chunk_len);
     client.read_extent(coord, cap, static_cast<std::uint32_t>(layout.chunk_len),
-                       [&parts, i](Bytes d, TimePs) { parts[i] = std::move(d); });
+                       [&parts, i](dfs::DfsError e, Bytes d, TimePs) {
+                         EXPECT_EQ(e, dfs::DfsError::kOk);
+                         parts[i] = std::move(d);
+                       });
   }
   cluster.sim().run();
   Bytes out;
@@ -125,15 +128,16 @@ TEST(ClientTimeout, DeadlineCancelsWriteAndStragglerAcksAreLate) {
   client.set_timeout(ns(500));
   client.set_retry_policy(2, us(5));
 
-  bool done = false, ok = true;
-  client.write(layout, cap, random_bytes(64 * KiB, 3), [&](bool o, TimePs) {
+  bool done = false;
+  dfs::DfsError werr = dfs::DfsError::kOk;
+  client.write(layout, cap, random_bytes(64 * KiB, 3), [&](dfs::DfsError e, TimePs) {
     done = true;
-    ok = o;
+    werr = e;
   });
   cluster.sim().run();
 
   EXPECT_TRUE(done);
-  EXPECT_FALSE(ok);  // every attempt timed out
+  EXPECT_EQ(werr, dfs::DfsError::kTimeout);  // every attempt timed out
   EXPECT_EQ(client.op_timeouts(), 3u);      // initial + 2 retries
   EXPECT_EQ(client.timeout_retries(), 2u);
   EXPECT_EQ(client.deny_retries(), 0u);
@@ -153,15 +157,16 @@ TEST(ClientTimeout, DenyAndTimeoutRetriesAreAttributedSeparately) {
   client.set_timeout(us(100));  // far beyond the NACK round-trip
   client.set_retry_policy(2, us(1));
 
-  bool done = false, ok = true;
-  client.write(layout, ro, random_bytes(4096, 5), [&](bool o, TimePs) {
+  bool done = false;
+  dfs::DfsError werr = dfs::DfsError::kOk;
+  client.write(layout, ro, random_bytes(4096, 5), [&](dfs::DfsError e, TimePs) {
     done = true;
-    ok = o;
+    werr = e;
   });
   cluster.sim().run();
 
   EXPECT_TRUE(done);
-  EXPECT_FALSE(ok);
+  EXPECT_EQ(werr, dfs::DfsError::kDenied);
   EXPECT_EQ(client.deny_retries(), 2u);
   EXPECT_EQ(client.timeout_retries(), 0u);
   EXPECT_EQ(client.op_timeouts(), 0u);
@@ -184,15 +189,16 @@ TEST(ClientTimeout, LinkFlapIsRiddenOutByTimeoutRetry) {
   client.set_retry_policy(2, us(30));  // first retry waits 30 us -> lands at ~50 us
 
   const Bytes data = random_bytes(4096, 7);
-  bool done = false, ok = false;
-  client.write(layout, cap, data, [&](bool o, TimePs) {
+  bool done = false;
+  dfs::DfsError werr = dfs::DfsError::kTimeout;
+  client.write(layout, cap, data, [&](dfs::DfsError e, TimePs) {
     done = true;
-    ok = o;
+    werr = e;
   });
   cluster.sim().run();
 
   EXPECT_TRUE(done);
-  EXPECT_TRUE(ok);
+  EXPECT_EQ(werr, dfs::DfsError::kOk);
   EXPECT_EQ(client.op_timeouts(), 1u);
   EXPECT_EQ(client.timeout_retries(), 1u);
   EXPECT_EQ(client.deny_retries(), 0u);
@@ -200,36 +206,48 @@ TEST(ClientTimeout, LinkFlapIsRiddenOutByTimeoutRetry) {
   EXPECT_EQ(client.tracker().pending_count(), 0u);
 
   // The write really landed: read it back.
+  dfs::DfsError rerr = dfs::DfsError::kTimeout;
   Bytes got;
-  client.read(layout, cap, 4096, [&](Bytes d, TimePs) { got = std::move(d); });
+  client.read(layout, cap, 4096, [&](dfs::DfsError e, Bytes d, TimePs) {
+    rerr = e;
+    got = std::move(d);
+  });
   cluster.sim().run();
+  EXPECT_EQ(rerr, dfs::DfsError::kOk);
   EXPECT_EQ(got, data);
   dump_if_failed(cluster, &client, nullptr);
 }
 
 TEST(ClientTimeout, ReadFromDeadNodeDrainsToEmptyBuffer) {
-  // Reads against a killed node exhaust their retries and complete with an
-  // unambiguous empty buffer (zero-length reads are rejected up front).
+  // Reads against a killed node exhaust their retries and complete with
+  // kTimeout and an empty buffer; a zero-length read fails kBadArg up front
+  // without touching the wire.
   Cluster cluster;
   Client client(cluster, 0);
   const auto& layout = cluster.metadata().create("obj", 4096, FilePolicy{});
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
   bool wrote = false;
-  client.write(layout, cap, random_bytes(4096, 9), [&](bool o, TimePs) { wrote = o; });
+  client.write(layout, cap, random_bytes(4096, 9),
+               [&](dfs::DfsError e, TimePs) { wrote = e == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(wrote);
 
-  EXPECT_THROW(client.read_extent(layout.targets[0], cap, 0, [](Bytes, TimePs) {}),
-               std::invalid_argument);
+  dfs::DfsError rerr = dfs::DfsError::kOk;
+  client.read_extent(layout.targets[0], cap, 0, [&](dfs::DfsError e, Bytes, TimePs) { rerr = e; });
+  EXPECT_EQ(rerr, dfs::DfsError::kBadArg);  // synchronous, no event scheduled
 
   cluster.network().faults().kill_node(layout.targets[0].node, cluster.sim().now());
   client.set_timeout(us(10));
   client.set_retry_policy(1, us(5));
   std::optional<Bytes> got;
-  client.read(layout, cap, 4096, [&](Bytes d, TimePs) { got = std::move(d); });
+  client.read(layout, cap, 4096, [&](dfs::DfsError e, Bytes d, TimePs) {
+    rerr = e;
+    got = std::move(d);
+  });
   cluster.sim().run();
 
   ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(rerr, dfs::DfsError::kTimeout);
   EXPECT_TRUE(got->empty());
   EXPECT_EQ(client.op_timeouts(), 2u);
   EXPECT_EQ(client.timeout_retries(), 1u);
@@ -263,7 +281,8 @@ std::uint64_t run_kill_mid_write_scenario(std::uint64_t seed) {
 
   // v1 lands cleanly.
   bool v1_ok = false;
-  writer.write(layout, cap, data, [&](bool ok, TimePs) { v1_ok = ok; });
+  writer.write(layout, cap, data,
+               [&](dfs::DfsError e, TimePs) { v1_ok = e == dfs::DfsError::kOk; });
   cluster.sim().run();
   EXPECT_TRUE(v1_ok);
   const TimePs t0 = cluster.sim().now();
@@ -283,10 +302,11 @@ std::uint64_t run_kill_mid_write_scenario(std::uint64_t seed) {
 
   writer.set_timeout(us(30));
   writer.set_retry_policy(2, us(10));
-  bool v2_done = false, v2_ok = true;
-  writer.write(layout, cap, data, [&](bool ok, TimePs) {
+  bool v2_done = false;
+  dfs::DfsError v2_err = dfs::DfsError::kOk;
+  writer.write(layout, cap, data, [&](dfs::DfsError e, TimePs) {
     v2_done = true;
-    v2_ok = ok;
+    v2_err = e;
   });
 
   // Detector-driven recovery: the failed set fed to degraded_read/rebuild
@@ -318,7 +338,7 @@ std::uint64_t run_kill_mid_write_scenario(std::uint64_t seed) {
   // The in-flight write failed (after timeout retries), but the object
   // survived the node.
   EXPECT_TRUE(v2_done);
-  EXPECT_FALSE(v2_ok);
+  EXPECT_EQ(v2_err, dfs::DfsError::kTimeout);
   EXPECT_GE(writer.op_timeouts(), 1u);
   EXPECT_EQ(writer.timeout_retries(), 2u);
   EXPECT_GT(detected_at, kill_at);
@@ -404,7 +424,8 @@ std::uint64_t run_kill_mid_compaction_scenario(std::uint64_t seed) {
   const Bytes data = random_bytes(size, 42);
 
   bool v1_ok = false;
-  writer.write(layout, cap, data, [&](bool ok, TimePs) { v1_ok = ok; });
+  writer.write(layout, cap, data,
+               [&](dfs::DfsError e, TimePs) { v1_ok = e == dfs::DfsError::kOk; });
   cluster.sim().run();
   EXPECT_TRUE(v1_ok) << "seed " << seed;
   const TimePs t0 = cluster.sim().now();
@@ -431,10 +452,11 @@ std::uint64_t run_kill_mid_compaction_scenario(std::uint64_t seed) {
 
   writer.set_timeout(us(60));
   writer.set_retry_policy(2, us(10));
-  bool v2_done = false, v2_ok = true;
-  writer.write(layout, cap, data, [&](bool ok, TimePs) {
+  bool v2_done = false;
+  dfs::DfsError v2_err = dfs::DfsError::kOk;
+  writer.write(layout, cap, data, [&](dfs::DfsError e, TimePs) {
     v2_done = true;
-    v2_ok = ok;
+    v2_err = e;
   });
 
   // Probes share the device with flush/compaction backlogs on *healthy*
@@ -466,7 +488,7 @@ std::uint64_t run_kill_mid_compaction_scenario(std::uint64_t seed) {
   // The in-flight v2 lost the victim's ack and failed after retries, but
   // the object rebuilt onto the survivors.
   EXPECT_TRUE(v2_done) << "seed " << seed;
-  EXPECT_FALSE(v2_ok) << "seed " << seed;
+  EXPECT_EQ(v2_err, dfs::DfsError::kTimeout) << "seed " << seed;
   EXPECT_GT(detected_at, kill_at) << "seed " << seed;
   EXPECT_TRUE(repaired.has_value()) << "seed " << seed;
   if (!repaired.has_value()) {
@@ -536,13 +558,14 @@ TEST(Chaos, RebuildDropsBelowKMidCollectAndReportsLossWithoutHanging) {
   const auto& layout = cluster.metadata().create("obj", size, policy);
   const auto cap = cluster.metadata().grant(writer.client_id(), layout, auth::Right::kWrite);
   bool wrote = false;
-  writer.write(layout, cap, random_bytes(size, 42), [&](bool ok, TimePs) { wrote = ok; });
+  writer.write(layout, cap, random_bytes(size, 42),
+               [&](dfs::DfsError e, TimePs) { wrote = e == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(wrote);
   const TimePs t0 = cluster.sim().now();
 
   // Recovery reads get a real deadline; no retries, so a dead source maps
-  // straight to the empty-buffer fallback path.
+  // straight to the kTimeout fallback path.
   writer.set_timeout(us(50));
   writer.set_retry_policy(0, us(10));
 
@@ -604,10 +627,11 @@ std::uint64_t run_drop_storm(std::uint64_t seed) {
   client.set_timeout(us(100));
   client.set_retry_policy(5, us(20));
 
-  bool done = false, ok = false;
-  client.write(layout, cap, random_bytes(200 * KiB, 11), [&](bool o, TimePs) {
+  bool done = false;
+  dfs::DfsError werr = dfs::DfsError::kOk;
+  client.write(layout, cap, random_bytes(200 * KiB, 11), [&](dfs::DfsError e, TimePs) {
     done = true;
-    ok = o;
+    werr = e;
   });
   cluster.sim().run();
 
@@ -618,7 +642,7 @@ std::uint64_t run_drop_storm(std::uint64_t seed) {
   EXPECT_EQ(client.tracker().pending_count(), 0u);
 
   Digest d;
-  d.u8(ok ? 1 : 0);
+  d.u8(static_cast<std::uint8_t>(werr));
   d.client(client);
   d.u64(client.tracker().late_acks());
   d.u64(client.tracker().stray_nacks());
@@ -650,10 +674,11 @@ std::uint64_t run_corruption_storm(std::uint64_t seed) {
   client.set_timeout(us(50));
   client.set_retry_policy(2, us(10));
 
-  bool done = false, ok = false;
-  client.write(layout, cap, random_bytes(32 * KiB, 13), [&](bool o, TimePs) {
+  bool done = false;
+  dfs::DfsError werr = dfs::DfsError::kOk;
+  client.write(layout, cap, random_bytes(32 * KiB, 13), [&](dfs::DfsError e, TimePs) {
     done = true;
-    ok = o;
+    werr = e;
   });
   cluster.sim().run();
 
@@ -662,7 +687,7 @@ std::uint64_t run_corruption_storm(std::uint64_t seed) {
   EXPECT_EQ(client.tracker().pending_count(), 0u);
 
   Digest d;
-  d.u8(ok ? 1 : 0);
+  d.u8(static_cast<std::uint8_t>(werr));
   d.client(client);
   d.counters(cluster.network().fault_counters());
   std::uint64_t malformed = 0, auth_failures = 0;
@@ -714,14 +739,15 @@ TEST(Chaos, WedgedAggregationStateIsReapedByStateGc) {
   cluster.network().install_faults(plan);
 
   writer.set_timeout(us(30));
-  bool done = false, ok = true;
-  writer.write(layout, cap, random_bytes(size, 42), [&](bool o, TimePs) {
+  bool done = false;
+  dfs::DfsError werr = dfs::DfsError::kOk;
+  writer.write(layout, cap, random_bytes(size, 42), [&](dfs::DfsError e, TimePs) {
     done = true;
-    ok = o;
+    werr = e;
   });
   cluster.sim().run();
   EXPECT_TRUE(done);
-  EXPECT_FALSE(ok);
+  EXPECT_EQ(werr, dfs::DfsError::kTimeout);
 
   // Quiesced with no GC: the parity nodes are wedged — live aggregation
   // entries holding pool accumulators that nothing will ever release.
@@ -763,7 +789,8 @@ TEST(Chaos, WedgedAggregationStateIsReapedByStateGc) {
   if (usable) {
     const auto cap2 = cluster.metadata().grant(writer.client_id(), layout2, auth::Right::kWrite);
     writer.set_timeout(0);
-    writer.write(layout2, cap2, random_bytes(size, 43), [&](bool o, TimePs) { retry_ok = o; });
+    writer.write(layout2, cap2, random_bytes(size, 43),
+                 [&](dfs::DfsError e, TimePs) { retry_ok = e == dfs::DfsError::kOk; });
     cluster.sim().run();
     EXPECT_TRUE(retry_ok);
   }
@@ -788,7 +815,7 @@ std::uint64_t run_kill_mid_append_scenario(std::uint64_t seed) {
   // First append lands cleanly and establishes the tail.
   dfs::DfsError err = dfs::DfsError::kTimeout;
   writer.append("log", cap, random_bytes(64 * KiB, 42),
-                services::OpCb([&](dfs::DfsError e, TimePs) { err = e; }));
+                [&](dfs::DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, dfs::DfsError::kOk) << "seed " << seed;
   EXPECT_EQ(writer.stat("log").length, 64 * KiB);
@@ -809,11 +836,11 @@ std::uint64_t run_kill_mid_append_scenario(std::uint64_t seed) {
   dfs::DfsError append_err = dfs::DfsError::kOk;
   TimePs failed_at = 0;
   writer.append("log", cap, random_bytes(64 * KiB, 43),
-                services::OpCb([&](dfs::DfsError e, TimePs at) {
+                [&](dfs::DfsError e, TimePs at) {
                   done = true;
                   append_err = e;
                   failed_at = at;
-                }));
+                });
   cluster.sim().run_until(t0 + ms(1));
   cluster.sim().run();
 
@@ -877,7 +904,8 @@ std::uint64_t run_delete_during_rebuild_scenario(std::uint64_t seed) {
   const auto rcap = cluster.metadata().grant(remover.client_id(), layout, auth::Right::kReadWrite);
 
   bool v1_ok = false;
-  writer.write(layout, wcap, random_bytes(size, 42), [&](bool ok, TimePs) { v1_ok = ok; });
+  writer.write(layout, wcap, random_bytes(size, 42),
+               [&](dfs::DfsError e, TimePs) { v1_ok = e == dfs::DfsError::kOk; });
   cluster.sim().run();
   EXPECT_TRUE(v1_ok) << "seed " << seed;
   const TimePs t0 = cluster.sim().now();
@@ -897,10 +925,10 @@ std::uint64_t run_delete_during_rebuild_scenario(std::uint64_t seed) {
   bool remove_done = false;
   dfs::DfsError remove_err = dfs::DfsError::kTimeout;
   cluster.sim().schedule(jitter.next_below(us(2)), [&] {
-    remover.remove("obj", rcap, services::OpCb([&](dfs::DfsError e, TimePs) {
-                     remove_done = true;
-                     remove_err = e;
-                   }));
+    remover.remove("obj", rcap, [&](dfs::DfsError e, TimePs) {
+      remove_done = true;
+      remove_err = e;
+    });
   });
   cluster.sim().run_until(t0 + ms(5));
   cluster.sim().run();
@@ -918,10 +946,10 @@ std::uint64_t run_delete_during_rebuild_scenario(std::uint64_t seed) {
   // tombstoned, so a read through the stale layout fails typed.
   dfs::DfsError read_err = dfs::DfsError::kOk;
   writer.read_extent(layout.targets[1], wcap, 1024,
-                     services::ReadCb([&](dfs::DfsError e, Bytes d, TimePs) {
+                     [&](dfs::DfsError e, Bytes d, TimePs) {
                        read_err = e;
                        EXPECT_TRUE(d.empty());
-                     }));
+                     });
   cluster.sim().run();
   EXPECT_EQ(read_err, dfs::DfsError::kNotFound) << "seed " << seed;
 

@@ -23,8 +23,6 @@ using dfs::DfsError;
 using services::Client;
 using services::Cluster;
 using services::ClusterConfig;
-using services::OpCb;
-using services::ReadCb;
 
 /// Reference model of one file: what the namespace + storage *should* hold.
 struct ModelFile {
@@ -113,7 +111,7 @@ void run_model(std::uint64_t seed, unsigned ops, std::uint64_t* out) {
         const auto& any = model.live.begin()->second;
         DfsError err = DfsError::kOk;
         client.append(name, *any.cap[who], std::move(payload),
-                      OpCb([&](DfsError e, TimePs) { err = e; }));
+                      [&](DfsError e, TimePs) { err = e; });
         cluster.sim().run();
         ASSERT_EQ(err, DfsError::kNotFound) << "append ghost " << name << " step " << step;
         result.fold(static_cast<std::uint64_t>(err));
@@ -121,7 +119,7 @@ void run_model(std::uint64_t seed, unsigned ops, std::uint64_t* out) {
       }
       ModelFile& f = it->second;
       DfsError err = DfsError::kTimeout;
-      client.append(name, *f.cap[who], payload, OpCb([&](DfsError e, TimePs) { err = e; }));
+      client.append(name, *f.cap[who], payload, [&](DfsError e, TimePs) { err = e; });
       cluster.sim().run();
       if (f.length + len > f.capacity) {
         ASSERT_EQ(err, DfsError::kBadArg) << "over-capacity append " << name << " step " << step;
@@ -145,7 +143,7 @@ void run_model(std::uint64_t seed, unsigned ops, std::uint64_t* out) {
                     static_cast<std::uint8_t>(rng.next_below(255) + 1));
       DfsError err = DfsError::kTimeout;
       client.write_at(f.layout, *f.cap[who], offset, payload,
-                      OpCb([&](DfsError e, TimePs) { err = e; }));
+                      [&](DfsError e, TimePs) { err = e; });
       cluster.sim().run();
       ASSERT_EQ(err, DfsError::kOk) << "write_at " << name << " step " << step;
       std::copy(payload.begin(), payload.end(),
@@ -162,10 +160,10 @@ void run_model(std::uint64_t seed, unsigned ops, std::uint64_t* out) {
         ModelFile& f = dead->second;
         DfsError err = DfsError::kOk;
         client.read(f.layout, *f.cap[who], 1024,
-                    ReadCb([&](DfsError e, Bytes d, TimePs) {
+                    [&](DfsError e, Bytes d, TimePs) {
                       err = e;
                       EXPECT_TRUE(d.empty());
-                    }));
+                    });
         cluster.sim().run();
         ASSERT_EQ(err, DfsError::kNotFound)
             << "read of deleted " << name << " step " << step;
@@ -180,10 +178,10 @@ void run_model(std::uint64_t seed, unsigned ops, std::uint64_t* out) {
       DfsError err = DfsError::kTimeout;
       Bytes got;
       client.read_at(f.layout, *f.cap[who], offset, static_cast<std::uint32_t>(len),
-                     ReadCb([&](DfsError e, Bytes d, TimePs) {
+                     [&](DfsError e, Bytes d, TimePs) {
                        err = e;
                        got = std::move(d);
-                     }));
+                     });
       cluster.sim().run();
       ASSERT_EQ(err, DfsError::kOk) << "read_at " << name << " step " << step;
       const Bytes want(f.data.begin() + static_cast<std::ptrdiff_t>(offset),
@@ -215,14 +213,14 @@ void run_model(std::uint64_t seed, unsigned ops, std::uint64_t* out) {
       if (model.live.empty()) continue;
       const auto& any = model.live.begin()->second;
       DfsError err = DfsError::kOk;
-      client.remove(name, *any.cap[who], OpCb([&](DfsError e, TimePs) { err = e; }));
+      client.remove(name, *any.cap[who], [&](DfsError e, TimePs) { err = e; });
       cluster.sim().run();
       ASSERT_EQ(err, DfsError::kNotFound) << "remove ghost " << name << " step " << step;
       result.fold(static_cast<std::uint64_t>(err));
       continue;
     }
     DfsError err = DfsError::kTimeout;
-    client.remove(name, *it->second.cap[who], OpCb([&](DfsError e, TimePs) { err = e; }));
+    client.remove(name, *it->second.cap[who], [&](DfsError e, TimePs) { err = e; });
     cluster.sim().run();
     ASSERT_EQ(err, DfsError::kOk) << "remove " << name << " step " << step;
     model.dead.insert_or_assign(name, std::move(it->second));
@@ -271,14 +269,14 @@ TEST(DfsModel, DirectedDeleteReadSequenceAgreesWithOracle) {
   auto cap = cluster.metadata().grant(c0.client_id(), layout, auth::Right::kReadWrite);
 
   DfsError err = DfsError::kTimeout;
-  c0.write(layout, cap, Bytes(kCapacity, 0xEE), OpCb([&](DfsError e, TimePs) { err = e; }));
+  c0.write(layout, cap, Bytes(kCapacity, 0xEE), [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   ASSERT_EQ(err, DfsError::kOk);
-  c0.remove("m/x", cap, OpCb([&](DfsError e, TimePs) { err = e; }));
+  c0.remove("m/x", cap, [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   ASSERT_EQ(err, DfsError::kOk);
   err = DfsError::kOk;
-  c0.read(layout, cap, 1024, ReadCb([&](DfsError e, Bytes, TimePs) { err = e; }));
+  c0.read(layout, cap, 1024, [&](DfsError e, Bytes, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kNotFound);
 
@@ -286,10 +284,10 @@ TEST(DfsModel, DirectedDeleteReadSequenceAgreesWithOracle) {
   layout = *cluster.metadata().lookup("m/x");
   cap = cluster.metadata().grant(c0.client_id(), layout, auth::Right::kReadWrite);
   Bytes got;
-  c0.read(layout, cap, 1024, ReadCb([&](DfsError e, Bytes d, TimePs) {
-            err = e;
-            got = std::move(d);
-          }));
+  c0.read(layout, cap, 1024, [&](DfsError e, Bytes d, TimePs) {
+    err = e;
+    got = std::move(d);
+  });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kOk);
   EXPECT_EQ(got, Bytes(1024, 0x00));  // fresh object, fresh zeros

@@ -20,8 +20,6 @@ using services::Client;
 using services::Cluster;
 using services::ClusterConfig;
 using services::FilePolicy;
-using services::OpCb;
-using services::ReadCb;
 
 Bytes fill(std::size_t n, std::uint8_t v) { return Bytes(n, v); }
 
@@ -81,12 +79,12 @@ TEST(DfsOps, StatReflectsLengthAfterAppend) {
 
   EXPECT_EQ(client.stat("f").length, 0u);
   DfsError err = DfsError::kTimeout;
-  client.append("f", cap, fill(1000, 0x11), OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.append("f", cap, fill(1000, 0x11), [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kOk);
   EXPECT_EQ(client.stat("f").length, 1000u);
 
-  client.append("f", cap, fill(500, 0x22), OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.append("f", cap, fill(500, 0x22), [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kOk);
   const auto info = client.stat("f");
@@ -101,7 +99,7 @@ TEST(DfsOps, AppendToUnknownNameIsNotFound) {
   const auto& layout = *cluster.metadata().lookup("real");
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
   DfsError err = DfsError::kOk;
-  client.append("ghost", cap, fill(100, 1), OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.append("ghost", cap, fill(100, 1), [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kNotFound);
 }
@@ -114,10 +112,10 @@ TEST(DfsOps, AppendPastCapacityIsBadArg) {
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
 
   DfsError err = DfsError::kTimeout;
-  client.append("f", cap, fill(3000, 1), OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.append("f", cap, fill(3000, 1), [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kOk);
-  client.append("f", cap, fill(3000, 2), OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.append("f", cap, fill(3000, 2), [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kBadArg);
   EXPECT_EQ(client.stat("f").length, 3000u);  // failed reserve did not advance the tail
@@ -136,7 +134,7 @@ TEST(DfsOps, AppendOnErasureCodedLayoutIsBadArg) {
   const auto& layout = *cluster.metadata().lookup("ec");
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
   DfsError err = DfsError::kOk;
-  client.append("ec", cap, fill(100, 1), OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.append("ec", cap, fill(100, 1), [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kBadArg);  // EC objects are whole-object writes
 }
@@ -156,8 +154,8 @@ TEST(DfsOps, ConcurrentAppendsReserveDisjointExtentsInIssueOrder) {
   // reservation (not wire arrival order) serializes them.
   const std::uint32_t len = 2048;
   DfsError err_a = DfsError::kTimeout, err_b = DfsError::kTimeout;
-  a.append("log", cap_a, fill(len, 0xA1), OpCb([&](DfsError e, TimePs) { err_a = e; }));
-  b.append("log", cap_b, fill(len, 0xB2), OpCb([&](DfsError e, TimePs) { err_b = e; }));
+  a.append("log", cap_a, fill(len, 0xA1), [&](DfsError e, TimePs) { err_a = e; });
+  b.append("log", cap_b, fill(len, 0xB2), [&](DfsError e, TimePs) { err_b = e; });
   cluster.sim().run();
   EXPECT_EQ(err_a, DfsError::kOk);
   EXPECT_EQ(err_b, DfsError::kOk);
@@ -167,10 +165,10 @@ TEST(DfsOps, ConcurrentAppendsReserveDisjointExtentsInIssueOrder) {
   // offsets, in reservation order.
   Bytes back;
   a.read(layout, cap_a, 2 * len,
-         ReadCb([&](DfsError e, Bytes d, TimePs) {
+         [&](DfsError e, Bytes d, TimePs) {
            EXPECT_EQ(e, DfsError::kOk);
            back = std::move(d);
-         }));
+         });
   cluster.sim().run();
   ASSERT_EQ(back.size(), 2 * len);
   EXPECT_TRUE(std::all_of(back.begin(), back.begin() + len,
@@ -188,7 +186,7 @@ TEST(DfsOps, DeleteUnknownNameIsNotFound) {
   const auto& layout = *cluster.metadata().lookup("real");
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
   DfsError err = DfsError::kOk;
-  client.remove("ghost", cap, OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.remove("ghost", cap, [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kNotFound);
 }
@@ -201,14 +199,14 @@ TEST(DfsOps, DeleteThenReadFailsTypedNotFound) {
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
 
   bool wrote = false;
-  client.write(layout, cap, fill(4 * KiB, 0x5A), OpCb([&](DfsError e, TimePs) {
-                 wrote = (e == DfsError::kOk);
-               }));
+  client.write(layout, cap, fill(4 * KiB, 0x5A), [&](DfsError e, TimePs) {
+    wrote = (e == DfsError::kOk);
+  });
   cluster.sim().run();
   ASSERT_TRUE(wrote);
 
   DfsError rm = DfsError::kTimeout;
-  client.remove("f", cap, OpCb([&](DfsError e, TimePs) { rm = e; }));
+  client.remove("f", cap, [&](DfsError e, TimePs) { rm = e; });
   cluster.sim().run();
   EXPECT_EQ(rm, DfsError::kOk);
   EXPECT_FALSE(client.stat("f").exists);
@@ -217,11 +215,11 @@ TEST(DfsOps, DeleteThenReadFailsTypedNotFound) {
   // fails with the typed error, not with a buffer that could pass for data.
   DfsError err = DfsError::kOk;
   bool done = false;
-  client.read(layout, cap, 4 * KiB, ReadCb([&](DfsError e, Bytes d, TimePs) {
-                done = true;
-                err = e;
-                EXPECT_TRUE(d.empty());
-              }));
+  client.read(layout, cap, 4 * KiB, [&](DfsError e, Bytes d, TimePs) {
+    done = true;
+    err = e;
+    EXPECT_TRUE(d.empty());
+  });
   cluster.sim().run();
   EXPECT_TRUE(done);
   EXPECT_EQ(err, DfsError::kNotFound);
@@ -234,7 +232,7 @@ TEST(DfsOps, DeleteFreesTheNameForRecreate) {
   const auto& layout = *cluster.metadata().lookup("f");
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
   DfsError rm = DfsError::kTimeout;
-  client.remove("f", cap, OpCb([&](DfsError e, TimePs) { rm = e; }));
+  client.remove("f", cap, [&](DfsError e, TimePs) { rm = e; });
   cluster.sim().run();
   ASSERT_EQ(rm, DfsError::kOk);
   EXPECT_EQ(client.create("f", 8 * KiB, {}), DfsError::kOk);
@@ -253,26 +251,14 @@ TEST(DfsOps, ZeroLengthReadIsTypedBadArgWithoutWireTraffic) {
   const auto events_before = cluster.sim().executed_events();
   DfsError err = DfsError::kOk;
   bool done = false;
-  client.read(layout, cap, 0, ReadCb([&](DfsError e, Bytes, TimePs) {
-                done = true;
-                err = e;
-              }));
+  client.read(layout, cap, 0, [&](DfsError e, Bytes, TimePs) {
+    done = true;
+    err = e;
+  });
   EXPECT_TRUE(done);  // completes inline: nothing to wait for
   EXPECT_EQ(err, DfsError::kBadArg);
   cluster.sim().run();
   EXPECT_EQ(cluster.sim().executed_events(), events_before);  // nothing hit the wire
-}
-
-TEST(DfsOps, ZeroLengthLegacyReadStillThrows) {
-  // The legacy (Bytes, TimePs) callback signals failure with an empty
-  // buffer; a zero-length read would make that ambiguous, so it keeps
-  // throwing. The typed overload reports kBadArg instead (test above).
-  Cluster cluster;
-  Client client(cluster, 0);
-  ASSERT_EQ(client.create("f", 4 * KiB, {}), DfsError::kOk);
-  const auto& layout = *cluster.metadata().lookup("f");
-  const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kRead);
-  EXPECT_THROW(client.read(layout, cap, 0, [](Bytes, TimePs) {}), std::invalid_argument);
 }
 
 TEST(DfsOps, DeniedWriteCarriesTypedDenied) {
@@ -282,7 +268,7 @@ TEST(DfsOps, DeniedWriteCarriesTypedDenied) {
   const auto& layout = *cluster.metadata().lookup("f");
   const auto ro = cluster.metadata().grant(client.client_id(), layout, auth::Right::kRead);
   DfsError err = DfsError::kOk;
-  client.write(layout, ro, fill(4 * KiB, 1), OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.write(layout, ro, fill(4 * KiB, 1), [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kDenied);
 }
@@ -300,19 +286,19 @@ TEST(DfsOps, EmptyObjectReadIsOkFailedReadIsTyped) {
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
 
   bool wrote = false;
-  client.write(layout, cap, fill(4 * KiB, 0x00), OpCb([&](DfsError e, TimePs) {
-                 wrote = (e == DfsError::kOk);
-               }));
+  client.write(layout, cap, fill(4 * KiB, 0x00), [&](DfsError e, TimePs) {
+    wrote = (e == DfsError::kOk);
+  });
   cluster.sim().run();
   ASSERT_TRUE(wrote);
 
   // Success: kOk with 4 KiB of zeros — the zeros are data, not a sentinel.
   DfsError err = DfsError::kTimeout;
   Bytes data;
-  client.read(layout, cap, 4 * KiB, ReadCb([&](DfsError e, Bytes d, TimePs) {
-                err = e;
-                data = std::move(d);
-              }));
+  client.read(layout, cap, 4 * KiB, [&](DfsError e, Bytes d, TimePs) {
+    err = e;
+    data = std::move(d);
+  });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kOk);
   ASSERT_EQ(data.size(), 4 * KiB);
@@ -321,14 +307,14 @@ TEST(DfsOps, EmptyObjectReadIsOkFailedReadIsTyped) {
   // Failure (tombstoned extent): typed kNotFound, never a zero buffer.
   DfsError trim = DfsError::kTimeout;
   client.trim_extent(layout.targets[0], cap, layout.size,
-                     OpCb([&](DfsError e, TimePs) { trim = e; }));
+                     [&](DfsError e, TimePs) { trim = e; });
   cluster.sim().run();
   ASSERT_EQ(trim, DfsError::kOk);
   err = DfsError::kOk;
-  client.read(layout, cap, 4 * KiB, ReadCb([&](DfsError e, Bytes d, TimePs) {
-                err = e;
-                EXPECT_TRUE(d.empty());
-              }));
+  client.read(layout, cap, 4 * KiB, [&](DfsError e, Bytes d, TimePs) {
+    err = e;
+    EXPECT_TRUE(d.empty());
+  });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kNotFound);
 }
@@ -344,32 +330,32 @@ TEST(DfsOps, TrimTombstonesAndWriteRevivesTheExtent) {
   const auto& coord = layout.targets[0];
 
   DfsError err = DfsError::kTimeout;
-  client.stat_extent(coord, cap, layout.size, OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.stat_extent(coord, cap, layout.size, [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kOk);  // live before any trim
 
-  client.trim_extent(coord, cap, layout.size, OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.trim_extent(coord, cap, layout.size, [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   ASSERT_EQ(err, DfsError::kOk);
-  client.stat_extent(coord, cap, layout.size, OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.stat_extent(coord, cap, layout.size, [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kNotFound);  // tombstoned
 
   // A fresh write hole-punches the tombstone; the extent reads again.
   bool wrote = false;
-  client.write_extent(coord, cap, fill(4 * KiB, 0x7E), OpCb([&](DfsError e, TimePs) {
-                        wrote = (e == DfsError::kOk);
-                      }));
+  client.write_extent(coord, cap, fill(4 * KiB, 0x7E), [&](DfsError e, TimePs) {
+    wrote = (e == DfsError::kOk);
+  });
   cluster.sim().run();
   ASSERT_TRUE(wrote);
-  client.stat_extent(coord, cap, layout.size, OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.stat_extent(coord, cap, layout.size, [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kOk);
   Bytes back;
-  client.read(layout, cap, 4 * KiB, ReadCb([&](DfsError e, Bytes d, TimePs) {
-                EXPECT_EQ(e, DfsError::kOk);
-                back = std::move(d);
-              }));
+  client.read(layout, cap, 4 * KiB, [&](DfsError e, Bytes d, TimePs) {
+    EXPECT_EQ(e, DfsError::kOk);
+    back = std::move(d);
+  });
   cluster.sim().run();
   EXPECT_EQ(back, fill(4 * KiB, 0x7E));
 }
@@ -393,27 +379,27 @@ TEST(DfsOps, HostPathMatchesTypedErrorContract) {
   // write -> stat_extent live -> trim -> stat/read kNotFound, same contract
   // as the offloaded path.
   DfsError err = DfsError::kTimeout;
-  client.write(layout, cap, fill(4 * KiB, 0x33), OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.write(layout, cap, fill(4 * KiB, 0x33), [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   ASSERT_EQ(err, DfsError::kOk);
-  client.stat_extent(coord, cap, layout.size, OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.stat_extent(coord, cap, layout.size, [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kOk);
-  client.trim_extent(coord, cap, layout.size, OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.trim_extent(coord, cap, layout.size, [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   ASSERT_EQ(err, DfsError::kOk);
-  client.stat_extent(coord, cap, layout.size, OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.stat_extent(coord, cap, layout.size, [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kNotFound);
   err = DfsError::kOk;
-  client.read(layout, cap, 4 * KiB, ReadCb([&](DfsError e, Bytes, TimePs) { err = e; }));
+  client.read(layout, cap, 4 * KiB, [&](DfsError e, Bytes, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kNotFound);
 
   // Typed denial on the host path too.
   const auto ro = cluster.metadata().grant(client.client_id(), layout, auth::Right::kRead);
   err = DfsError::kOk;
-  client.write(layout, ro, fill(4 * KiB, 1), OpCb([&](DfsError e, TimePs) { err = e; }));
+  client.write(layout, ro, fill(4 * KiB, 1), [&](DfsError e, TimePs) { err = e; });
   cluster.sim().run();
   EXPECT_EQ(err, DfsError::kDenied);
 }

@@ -63,15 +63,15 @@ TEST_P(PlainWriteEquivalence, DataLandsIdentically) {
   }
 
   const Bytes data = random_bytes(size, size);
-  bool ok = false;
+  dfs::DfsError werr = dfs::DfsError::kTimeout;
   TimePs at = 0;
-  proto->write(client, layout, cap, data, [&](bool o, TimePs t) {
-    ok = o;
+  proto->write(client, layout, cap, data, [&](dfs::DfsError err, TimePs t) {
+    werr = err;
     at = t;
   });
   cluster.sim().run();
 
-  ASSERT_TRUE(ok) << proto->name();
+  ASSERT_EQ(werr, dfs::DfsError::kOk) << proto->name();
   EXPECT_GT(at, 0u);
   EXPECT_EQ(cluster.storage_node(0).target().read(layout.targets[0].addr, data.size()), data)
       << proto->name();
@@ -139,11 +139,11 @@ TEST_P(ReplicationEquivalence, AllReplicasByteIdentical) {
   }
 
   const Bytes data = random_bytes(size, size * 7 + k);
-  bool ok = false;
-  proto->write(client, layout, cap, data, [&](bool o, TimePs) { ok = o; });
+  dfs::DfsError werr = dfs::DfsError::kTimeout;
+  proto->write(client, layout, cap, data, [&](dfs::DfsError err, TimePs) { werr = err; });
   cluster.sim().run();
 
-  ASSERT_TRUE(ok) << proto->name();
+  ASSERT_EQ(werr, dfs::DfsError::kOk) << proto->name();
   for (const auto& coord : layout.targets) {
     EXPECT_EQ(cluster.storage_by_node(coord.node).target().read(coord.addr, data.size()), data)
         << proto->name() << " replica on node " << coord.node;
@@ -240,22 +240,22 @@ TEST(TimingRegression, BackloggedClusterDoesNotStallFreshOne) {
   ec.ec_m = 2;
   const auto& big = cluster.metadata().create("big", 1 * MiB, ec);
   const auto big_cap = cluster.metadata().grant(heavy.client_id(), big, auth::Right::kWrite);
-  heavy.write(big, big_cap, random_bytes(1 * MiB, 1), [](bool, TimePs) {});
+  heavy.write(big, big_cap, random_bytes(1 * MiB, 1), [](dfs::DfsError, TimePs) {});
 
   services::FilePolicy repl;
   repl.resiliency = dfs::Resiliency::kReplication;
   repl.repl_k = 2;
   const auto& small = cluster.metadata().create("small", 8 * KiB, repl);
   const auto small_cap = cluster.metadata().grant(light.client_id(), small, auth::Right::kWrite);
-  bool ok = false;
+  dfs::DfsError werr = dfs::DfsError::kTimeout;
   TimePs at = 0;
-  light.write(small, small_cap, random_bytes(8 * KiB, 2), [&](bool o, TimePs t) {
-    ok = o;
+  light.write(small, small_cap, random_bytes(8 * KiB, 2), [&](dfs::DfsError err, TimePs t) {
+    werr = err;
     at = t;
   });
   cluster.sim().run();
 
-  ASSERT_TRUE(ok);
+  ASSERT_EQ(werr, dfs::DfsError::kOk);
   // The small replicated write is HPU-independent of the EC backlog; it
   // must complete in microseconds, not be serialized behind ~200 us of
   // encode work. (Pre-GapServer this regressed to >100 us.)

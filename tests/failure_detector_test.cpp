@@ -119,7 +119,8 @@ TEST(FailureDetector, AutoRebuildRepairsEcObjectFromDetectorView) {
   const auto cap = cluster.metadata().grant(writer.client_id(), layout, auth::Right::kWrite);
   const Bytes data = random_bytes(size, 42);
   bool wrote = false;
-  writer.write(layout, cap, data, [&](bool ok, TimePs) { wrote = ok; });
+  writer.write(layout, cap, data,
+               [&](dfs::DfsError err, TimePs) { wrote = err == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(wrote);
 

@@ -220,10 +220,10 @@ TEST(Metadata, AllocationsDoNotOverlapOnANode) {
 TEST(AckTracker, CountsAcksToCompletion) {
   services::AckTracker tracker;
   bool done = false;
-  bool ok = false;
-  tracker.expect(1, 3, [&](bool o, TimePs) {
+  dfs::DfsError seen = dfs::DfsError::kTimeout;
+  tracker.expect(1, 3, [&](dfs::DfsError err, TimePs) {
     done = true;
-    ok = o;
+    seen = err;
   });
   // Feed acks directly through the handler path: install on a throwaway rig.
   sim::Simulator sim;
@@ -243,7 +243,7 @@ TEST(AckTracker, CountsAcksToCompletion) {
   auto last = ack;
   nic.on_packet(std::move(last));
   EXPECT_TRUE(done);
-  EXPECT_TRUE(ok);
+  EXPECT_EQ(seen, dfs::DfsError::kOk);
   EXPECT_FALSE(tracker.pending(1));
   EXPECT_EQ(tracker.late_acks(), 0u);
   EXPECT_EQ(tracker.stray_nacks(), 0u);
@@ -257,17 +257,19 @@ TEST(AckTracker, NackFailsImmediately) {
   rdma::Nic nic(sim, net, mem);
   tracker.install(nic);
 
-  bool done = false, ok = true;
-  tracker.expect(2, 5, [&](bool o, TimePs) {
+  bool done = false;
+  dfs::DfsError seen = dfs::DfsError::kOk;
+  tracker.expect(2, 5, [&](dfs::DfsError err, TimePs) {
     done = true;
-    ok = o;
+    seen = err;
   });
+  // A NACK without a code (raddr 0) still fails the op, as kDenied.
   net::Packet nack;
   nack.opcode = net::Opcode::kNack;
   nack.user_tag = 2;
   nic.on_packet(std::move(nack));
   EXPECT_TRUE(done);
-  EXPECT_FALSE(ok);
+  EXPECT_EQ(seen, dfs::DfsError::kDenied);
   EXPECT_EQ(tracker.stray_nacks(), 0u);
 }
 
@@ -292,7 +294,7 @@ TEST(AckTracker, UnknownTagIgnoredButCounted) {
 
 TEST(AckTracker, CancelDropsOp) {
   services::AckTracker tracker;
-  tracker.expect(3, 1, [](bool, TimePs) { FAIL() << "cancelled op completed"; });
+  tracker.expect(3, 1, [](dfs::DfsError, TimePs) { FAIL() << "cancelled op completed"; });
   tracker.cancel(3);
   EXPECT_FALSE(tracker.pending(3));
 }
@@ -300,14 +302,14 @@ TEST(AckTracker, CancelDropsOp) {
 TEST(AckTracker, ReExpectOfPendingTagIsHardError) {
   services::AckTracker tracker;
   bool first_fired = false;
-  tracker.expect(7, 1, [&](bool, TimePs) { first_fired = true; });
+  tracker.expect(7, 1, [&](dfs::DfsError, TimePs) { first_fired = true; });
   // Silent overwrite would orphan the first callback; it must throw instead.
-  EXPECT_THROW(tracker.expect(7, 1, [](bool, TimePs) {}), std::logic_error);
+  EXPECT_THROW(tracker.expect(7, 1, [](dfs::DfsError, TimePs) {}), std::logic_error);
   EXPECT_TRUE(tracker.pending(7));
   EXPECT_FALSE(first_fired);  // the original op is untouched
   // A *completed* tag is free for reuse.
   tracker.cancel(7);
-  EXPECT_NO_THROW(tracker.expect(7, 1, [](bool, TimePs) {}));
+  EXPECT_NO_THROW(tracker.expect(7, 1, [](dfs::DfsError, TimePs) {}));
 }
 
 TEST(AckTracker, ReplaceSupersedesPendingOp) {
@@ -318,9 +320,9 @@ TEST(AckTracker, ReplaceSupersedesPendingOp) {
   rdma::Nic nic(sim, net, mem);
   tracker.install(nic);
 
-  tracker.expect(8, 1, [](bool, TimePs) { FAIL() << "replaced op completed"; });
+  tracker.expect(8, 1, [](dfs::DfsError, TimePs) { FAIL() << "replaced op completed"; });
   bool done = false;
-  tracker.replace(8, 1, [&](bool, TimePs) { done = true; });
+  tracker.replace(8, 1, [&](dfs::DfsError, TimePs) { done = true; });
   EXPECT_EQ(tracker.replaced_ops(), 1u);
   EXPECT_EQ(tracker.pending_count(), 1u);
 
@@ -331,22 +333,22 @@ TEST(AckTracker, ReplaceSupersedesPendingOp) {
   EXPECT_TRUE(done);
 
   // replace() on a free tag is just expect().
-  tracker.replace(9, 1, [](bool, TimePs) {});
+  tracker.replace(9, 1, [](dfs::DfsError, TimePs) {});
   EXPECT_EQ(tracker.replaced_ops(), 1u);
   EXPECT_TRUE(tracker.pending(9));
 }
 
 TEST(AckTracker, TakeHandsBackTheCallback) {
   services::AckTracker tracker;
-  bool fired = false;
-  tracker.expect(4, 2, [&](bool ok, TimePs) { fired = !ok; });
+  dfs::DfsError seen = dfs::DfsError::kOk;
+  tracker.expect(4, 2, [&](dfs::DfsError err, TimePs) { seen = err; });
   auto cb = tracker.take(4);
   ASSERT_TRUE(cb.has_value());
   EXPECT_FALSE(tracker.pending(4));
-  // take() hands back the typed callback; the DoneCb the test registered
-  // sees kTimeout collapsed to ok == false.
+  // take() hands back the registered callback; the timeout path fires it
+  // with kTimeout.
   (*cb)(dfs::DfsError::kTimeout, 0);
-  EXPECT_TRUE(fired);
+  EXPECT_EQ(seen, dfs::DfsError::kTimeout);
   EXPECT_FALSE(tracker.take(4).has_value());
 }
 
@@ -360,7 +362,7 @@ TEST(AckTracker, NackDeliversTypedWireError) {
 
   // The typed error rides the NACK's raddr field.
   dfs::DfsError seen = dfs::DfsError::kOk;
-  tracker.expect(11, 1, services::OpCb([&](dfs::DfsError err, TimePs) { seen = err; }));
+  tracker.expect(11, 1, [&](dfs::DfsError err, TimePs) { seen = err; });
   net::Packet nack;
   nack.opcode = net::Opcode::kNack;
   nack.user_tag = 11;
@@ -371,7 +373,7 @@ TEST(AckTracker, NackDeliversTypedWireError) {
   // raddr == 0 is kOk, which no NACK may carry: input validation maps it
   // to kDenied so a NACK can never complete an op successfully.
   seen = dfs::DfsError::kOk;
-  tracker.expect(12, 1, services::OpCb([&](dfs::DfsError err, TimePs) { seen = err; }));
+  tracker.expect(12, 1, [&](dfs::DfsError err, TimePs) { seen = err; });
   net::Packet zero;
   zero.opcode = net::Opcode::kNack;
   zero.user_tag = 12;
@@ -381,7 +383,7 @@ TEST(AckTracker, NackDeliversTypedWireError) {
 
   // Out-of-range codes (corrupt or future peer) degrade to kDenied rather
   // than forging an enum value.
-  tracker.expect(13, 1, services::OpCb([&](dfs::DfsError err, TimePs) { seen = err; }));
+  tracker.expect(13, 1, [&](dfs::DfsError err, TimePs) { seen = err; });
   net::Packet weird;
   weird.opcode = net::Opcode::kNack;
   weird.user_tag = 13;
@@ -419,10 +421,10 @@ TEST(AckTracker, BadRkeyHostPathWriteNacksAsDenied) {
   tracker.install(writer);
   dfs::DfsError seen = dfs::DfsError::kOk;
   bool done = false;
-  tracker.expect(wire->user_tag + 1, 1, services::OpCb([&](dfs::DfsError err, TimePs) {
-                   seen = err;
-                   done = true;
-                 }));
+  tracker.expect(wire->user_tag + 1, 1, [&](dfs::DfsError err, TimePs) {
+    seen = err;
+    done = true;
+  });
   writer.post_write(target.id(), 0x100, bad_rkey, Bytes(4000, 8), [](TimePs) {
     ADD_FAILURE() << "a rejected write must not complete";
   });

@@ -24,14 +24,14 @@ Bytes random_bytes(std::size_t n, std::uint64_t seed) {
 
 struct WriteResult {
   bool done = false;
-  bool ok = false;
+  dfs::DfsError err = dfs::DfsError::kOk;
   TimePs at = 0;
 };
 
-services::DoneCb capture(WriteResult& r) {
-  return [&r](bool ok, TimePs at) {
+services::OpCb capture(WriteResult& r) {
+  return [&r](dfs::DfsError err, TimePs at) {
     r.done = true;
-    r.ok = ok;
+    r.err = err;
     r.at = at;
   };
 }
@@ -48,7 +48,7 @@ TEST(SpinPath, PlainWriteLandsAndAcks) {
   cluster.sim().run();
 
   ASSERT_TRUE(r.done);
-  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kOk);
   EXPECT_GT(r.at, 0u);
   auto& node = cluster.storage_by_node(layout.targets[0].node);
   EXPECT_EQ(node.target().read(layout.targets[0].addr, data.size()), data);
@@ -65,7 +65,7 @@ TEST(SpinPath, SmallWriteSinglePacketTriggersAllHandlers) {
   WriteResult r;
   client.write(layout, cap, random_bytes(512, 2), capture(r));
   cluster.sim().run();
-  ASSERT_TRUE(r.ok);
+  ASSERT_EQ(r.err, dfs::DfsError::kOk);
 
   const auto& stats = cluster.storage_by_node(layout.targets[0].node).pspin().stats();
   EXPECT_EQ(stats.duration_ns(spin::HandlerType::kHeader).count(), 1u);
@@ -84,7 +84,7 @@ TEST(SpinPath, HandlerCostsMatchPaperCalibration) {
   WriteResult r;
   client.write(layout, cap, random_bytes(40 * KiB, 3), capture(r));
   cluster.sim().run();
-  ASSERT_TRUE(r.ok);
+  ASSERT_EQ(r.err, dfs::DfsError::kOk);
 
   const auto& stats = cluster.storage_by_node(layout.targets[0].node).pspin().stats();
   EXPECT_NEAR(stats.duration_ns(spin::HandlerType::kHeader).mean(), 212.0, 2.0);
@@ -108,7 +108,7 @@ TEST(SpinPath, BadCapabilityNacksAndDropsData) {
   cluster.sim().run();
 
   ASSERT_TRUE(r.done);
-  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kDenied);
   auto& node = cluster.storage_by_node(layout.targets[0].node);
   EXPECT_EQ(node.target().bytes_written(), 0u);
   EXPECT_EQ(node.dfs_state()->auth_failures, 1u);
@@ -128,7 +128,7 @@ TEST(SpinPath, ReadOnlyCapabilityCannotWrite) {
   client.write(layout, cap, random_bytes(1 * KiB, 5), capture(r));
   cluster.sim().run();
   ASSERT_TRUE(r.done);
-  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kDenied);
 }
 
 TEST(SpinPath, ExpiredCapabilityRejected) {
@@ -143,7 +143,7 @@ TEST(SpinPath, ExpiredCapabilityRejected) {
   client.write(layout, cap, random_bytes(1 * KiB, 6), capture(r));
   cluster.sim().run();
   ASSERT_TRUE(r.done);
-  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kDenied);
 }
 
 TEST(SpinPath, ReplicationRingLandsOnAllReplicas) {
@@ -162,7 +162,7 @@ TEST(SpinPath, ReplicationRingLandsOnAllReplicas) {
   cluster.sim().run();
 
   ASSERT_TRUE(r.done);
-  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kOk);
   for (const auto& coord : layout.targets) {
     EXPECT_EQ(cluster.storage_by_node(coord.node).target().read(coord.addr, data.size()), data)
         << "replica at node " << coord.node;
@@ -187,7 +187,7 @@ TEST(SpinPath, ReplicationPbtLandsOnAllReplicas) {
   cluster.sim().run();
 
   ASSERT_TRUE(r.done);
-  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kOk);
   for (const auto& coord : layout.targets) {
     EXPECT_EQ(cluster.storage_by_node(coord.node).target().read(coord.addr, data.size()), data);
   }
@@ -207,7 +207,7 @@ TEST(SpinPath, ReplicationDeniedForwardsNothing) {
   client.write(layout, cap, random_bytes(8 * KiB, 9), capture(r));
   cluster.sim().run();
   ASSERT_TRUE(r.done);
-  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kDenied);
   for (const auto& coord : layout.targets) {
     EXPECT_EQ(cluster.storage_by_node(coord.node).target().bytes_written(), 0u);
   }
@@ -231,7 +231,7 @@ TEST(SpinPath, ErasureCodingWritesDataAndCorrectParity) {
   cluster.sim().run();
 
   ASSERT_TRUE(r.done);
-  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kOk);
 
   const auto chunk_len = static_cast<std::size_t>(layout.chunk_len);
   Bytes padded = data;
@@ -275,7 +275,7 @@ TEST(SpinPath, ErasureCodedDataRecoverableAfterNodeLoss) {
   WriteResult r;
   client.write(layout, cap, data, capture(r));
   cluster.sim().run();
-  ASSERT_TRUE(r.ok);
+  ASSERT_EQ(r.err, dfs::DfsError::kOk);
 
   // "Fail" data nodes 0 and 1: rebuild from chunk 2 + both parities.
   const auto chunk_len = static_cast<std::size_t>(layout.chunk_len);
@@ -308,16 +308,19 @@ TEST(SpinPath, ReadRoundTrip) {
   WriteResult wr;
   client.write(layout, wcap, data, capture(wr));
   cluster.sim().run();
-  ASSERT_TRUE(wr.ok);
+  ASSERT_EQ(wr.err, dfs::DfsError::kOk);
 
+  dfs::DfsError rerr = dfs::DfsError::kTimeout;
   Bytes got;
   TimePs read_at = 0;
   client.read(layout, rcap, static_cast<std::uint32_t>(data.size()),
-              [&](Bytes d, TimePs at) {
+              [&](dfs::DfsError err, Bytes d, TimePs at) {
+                rerr = err;
                 got = std::move(d);
                 read_at = at;
               });
   cluster.sim().run();
+  EXPECT_EQ(rerr, dfs::DfsError::kOk);
   EXPECT_EQ(got, data);
   EXPECT_GT(read_at, wr.at);
 }
@@ -344,7 +347,9 @@ TEST(SpinPath, RequestTableExhaustionNacks) {
 
   ASSERT_TRUE(r1.done);
   ASSERT_TRUE(r2.done);
-  EXPECT_NE(r1.ok, r2.ok);  // exactly one of the two got the slot
+  // Exactly one of the two got the slot; the other is denied typed.
+  EXPECT_EQ(r1.err, dfs::DfsError::kOk);
+  EXPECT_EQ(r2.err, dfs::DfsError::kTableFull);
   EXPECT_EQ(cluster.storage_node(0).dfs_state()->table_denials, 1u);
 }
 
@@ -397,7 +402,7 @@ TEST(SpinPath, CompletedWriteIsNotReaped) {
   WriteResult r;
   client.write(layout, cap, random_bytes(18000, 16), capture(r));
   cluster.sim().run();
-  ASSERT_TRUE(r.ok);
+  ASSERT_EQ(r.err, dfs::DfsError::kOk);
   EXPECT_EQ(cluster.storage_by_node(layout.targets[0].node).pspin().cleanup_runs(), 0u);
 }
 
@@ -418,8 +423,8 @@ TEST(SpinPath, ConcurrentWritesFromTwoClients) {
   c1.write(l1, cap1, d1, capture(r1));
   cluster.sim().run();
 
-  ASSERT_TRUE(r0.ok);
-  ASSERT_TRUE(r1.ok);
+  ASSERT_EQ(r0.err, dfs::DfsError::kOk);
+  ASSERT_EQ(r1.err, dfs::DfsError::kOk);
   EXPECT_EQ(cluster.storage_by_node(l0.targets[0].node).target().read(l0.targets[0].addr, d0.size()),
             d0);
   EXPECT_EQ(cluster.storage_by_node(l1.targets[0].node).target().read(l1.targets[0].addr, d1.size()),

@@ -125,10 +125,13 @@ TEST(MetadataNodeRpc, FullWorkflowOpenThenWriteThenRead) {
     ASSERT_TRUE(r.has_value());
     const auto layout = r->layout;
     const auto cap = r->cap;
-    client.write(layout, cap, data, [&, layout, cap](bool ok, TimePs) {
-      wrote = ok;
+    client.write(layout, cap, data, [&, layout, cap](dfs::DfsError werr, TimePs) {
+      wrote = werr == dfs::DfsError::kOk;
       client.read(layout, cap, static_cast<std::uint32_t>(data.size()),
-                  [&](Bytes d, TimePs) { got = std::move(d); });
+                  [&](dfs::DfsError rerr, Bytes d, TimePs) {
+                    EXPECT_EQ(rerr, dfs::DfsError::kOk);
+                    got = std::move(d);
+                  });
     });
   });
   cluster.sim().run();

@@ -5,9 +5,12 @@
 // not change what a run computes.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <numbers>
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
@@ -45,29 +48,108 @@ TEST(ObsCounter, BehavesLikeTheRawInteger) {
   EXPECT_EQ(*c.cell(), 6u);
 }
 
-TEST(ObsHist, BucketsByLog2Nanoseconds) {
-  obs::SimTimeHist h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min_ps(), 0u);
-  if constexpr (!obs::kObsEnabled) {
-    // NADFS_OBS=OFF: record() compiles to a no-op by design.
-    h.record(ns(1));
-    EXPECT_EQ(h.count(), 0u);
-    GTEST_SKIP() << "histograms compiled out (NADFS_OBS=OFF)";
+/// NADFS_OBS=OFF compiles record() to a no-op: assert that, and tell the
+/// distribution tests to skip.
+bool sketch_compiled_out() {
+  if constexpr (obs::kObsEnabled) return false;
+  obs::QuantileSketch off;
+  off.record(ns(1));
+  EXPECT_EQ(off.count(), 0u);
+  return true;
+}
+
+TEST(ObsSketch, IndexOfEdges) {
+  using S = obs::QuantileSketch;
+  // Sub-ns durations (and 1 ns) share bucket 0; huge ones clamp to the last.
+  EXPECT_EQ(S::index_of(0), 0u);
+  EXPECT_EQ(S::index_of(999), 0u);
+  EXPECT_EQ(S::index_of(ns(1)), 0u);
+  EXPECT_EQ(S::index_of(~0ull), S::kBuckets - 1);
+  // Major 10 spans [1024, 2048) ns in 32 slices of 32 ns each.
+  EXPECT_EQ(S::index_of(ns(1024)), 10 * S::kSub);
+  EXPECT_EQ(S::index_of(ns(1024 + 31)), 10 * S::kSub);
+  EXPECT_EQ(S::index_of(ns(1024 + 32)), 10 * S::kSub + 1);
+  EXPECT_EQ(S::index_of(ns(2047)), 10 * S::kSub + S::kSub - 1);
+  EXPECT_EQ(S::index_of(ns(2048)), 11 * S::kSub);
+  // Every sub-bucket's bounds bracket the durations it counts.
+  for (const std::uint64_t d : {ns(2), ns(3), ns(1024), ns(2047), us(5), ms(3)}) {
+    const std::size_t i = S::index_of(d);
+    EXPECT_LE(S::bucket_lo_ns(i), static_cast<double>(d / 1000)) << d;
+    EXPECT_LT(static_cast<double>(d / 1000), S::bucket_hi_ns(i)) << d;
   }
-  h.record(ns(1));
-  h.record(ns(3));
-  h.record(us(1));
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.sum_ps(), ns(4) + us(1));
-  EXPECT_EQ(h.min_ps(), ns(1));
-  EXPECT_EQ(h.max_ps(), us(1));
-  EXPECT_EQ(h.bucket(obs::SimTimeHist::bucket_of(ns(1))), 1u);
-  EXPECT_EQ(h.bucket(obs::SimTimeHist::bucket_of(ns(3))), 1u);  // floor(log2(3)) == 1
-  EXPECT_EQ(h.bucket(obs::SimTimeHist::bucket_of(us(1))), 1u);
-  // Sub-ns and huge durations clamp instead of indexing out of range.
-  EXPECT_EQ(obs::SimTimeHist::bucket_of(1), 0u);
-  EXPECT_EQ(obs::SimTimeHist::bucket_of(~0ull), obs::SimTimeHist::kBuckets - 1);
+}
+
+TEST(ObsSketch, CountSumMinMax) {
+  obs::QuantileSketch s;
+  EXPECT_EQ(s.count(), 0u);
+  EXPECT_EQ(s.min_ps(), 0u);
+  EXPECT_EQ(s.quantile_ps(0.5), 0u);
+  if (sketch_compiled_out()) GTEST_SKIP() << "quantile sketches compiled out (NADFS_OBS=OFF)";
+  s.record(ns(3));
+  s.record(ns(1));
+  s.record(us(1));
+  EXPECT_EQ(s.count(), 3u);
+  EXPECT_EQ(s.sum_ps(), ns(4) + us(1));
+  EXPECT_EQ(s.min_ps(), ns(1));
+  EXPECT_EQ(s.max_ps(), us(1));
+  EXPECT_EQ(s.bucket(obs::QuantileSketch::index_of(ns(3))), 1u);
+  EXPECT_EQ(s.bucket(obs::QuantileSketch::index_of(us(1))), 1u);
+}
+
+TEST(ObsSketch, RepeatedValueQuantileIsExact) {
+  if (sketch_compiled_out()) GTEST_SKIP() << "quantile sketches compiled out (NADFS_OBS=OFF)";
+  obs::QuantileSketch s;
+  const std::uint64_t v = 7321;  // ps, deliberately not on a bucket bound
+  for (int i = 0; i < 100; ++i) s.record(v);
+  for (const double q : {0.0, 0.01, 0.5, 0.99, 1.0}) EXPECT_EQ(s.quantile_ps(q), v) << q;
+}
+
+TEST(ObsSketch, QuantilesTrackExactPercentilesWithinOneSubBucket) {
+  if (sketch_compiled_out()) GTEST_SKIP() << "quantile sketches compiled out (NADFS_OBS=OFF)";
+  // Seeded log-normal latencies: median ~5 us, a long right tail.
+  Rng rng(2026);
+  obs::QuantileSketch s;
+  Summary exact;
+  for (int i = 0; i < 20000; ++i) {
+    const double u1 = 1.0 - rng.next_double();  // (0, 1]
+    const double u2 = rng.next_double();
+    const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
+    const auto ps = static_cast<std::uint64_t>(std::exp(std::log(5e6) + 0.6 * z));
+    s.record(ps);
+    exact.add(static_cast<double>(ps));
+  }
+  for (const double q : {0.50, 0.90, 0.99}) {
+    const double want = exact.percentile(q * 100.0);
+    const auto got = static_cast<double>(s.quantile_ps(q));
+    EXPECT_NEAR(got, want, want / obs::QuantileSketch::kSub) << "q=" << q;
+  }
+}
+
+TEST(ObsSketch, MergeEqualsRecordingTheUnion) {
+  if (sketch_compiled_out()) GTEST_SKIP() << "quantile sketches compiled out (NADFS_OBS=OFF)";
+  Rng rng(7);
+  obs::QuantileSketch a, b, both;
+  for (int i = 0; i < 500; ++i) {
+    const std::uint64_t v = rng.next_range(ns(100), us(50));
+    (i % 3 == 0 ? a : b).record(v);
+    both.record(v);
+  }
+  obs::QuantileSketch merged = a;
+  merged.merge(b);
+  EXPECT_EQ(merged.count(), both.count());
+  EXPECT_EQ(merged.sum_ps(), both.sum_ps());
+  EXPECT_EQ(merged.min_ps(), both.min_ps());
+  EXPECT_EQ(merged.max_ps(), both.max_ps());
+  for (std::size_t i = 0; i < obs::QuantileSketch::kBuckets; ++i) {
+    ASSERT_EQ(merged.bucket(i), both.bucket(i)) << "bucket " << i;
+  }
+  // Merging an empty sketch changes nothing, in either direction.
+  obs::QuantileSketch empty;
+  merged.merge(empty);
+  EXPECT_EQ(merged.count(), both.count());
+  empty.merge(both);
+  EXPECT_EQ(empty.min_ps(), both.min_ps());
+  EXPECT_EQ(empty.quantile_ps(0.99), both.quantile_ps(0.99));
 }
 
 // -------------------------------------------------------------- registry
@@ -76,12 +158,12 @@ TEST(ObsRegistry, SnapshotAndJsonRoundTrip) {
   obs::MetricRegistry reg;
   obs::Counter acks;
   std::uint64_t raw_cell = 0;
-  obs::SimTimeHist lat;
+  obs::QuantileSketch lat;
   int depth = 0;
   reg.counter("node1.dfs.acks", acks);
   reg.counter_cell("node1.nic.raw", &raw_cell);
   reg.gauge("node1.queue_depth", [&depth] { return static_cast<long long>(depth); });
-  reg.histogram("client0.latency", lat);
+  reg.sketch("client0.latency", lat);
 
   acks += 3;
   raw_cell = 7;
@@ -95,6 +177,9 @@ TEST(ObsRegistry, SnapshotAndJsonRoundTrip) {
   if constexpr (obs::kObsEnabled) {
     EXPECT_EQ(snap.at("client0.latency.count"), 1);
     EXPECT_EQ(snap.at("client0.latency.sum_ps"), static_cast<long long>(us(2)));
+    EXPECT_EQ(snap.at("client0.latency.max_ps"), static_cast<long long>(us(2)));
+    const auto sub = "client0.latency.s" + std::to_string(obs::QuantileSketch::index_of(us(2)));
+    EXPECT_EQ(snap.at(sub), 1);
   } else {
     EXPECT_EQ(snap.at("client0.latency.count"), 0);  // record() compiled out
   }
@@ -232,12 +317,12 @@ std::uint64_t run_workload_digest(bool traced) {
       h *= 1099511628211ull;
     }
   };
-  c0.write(l0, cap0, random_bytes(20000, 7), [&](bool ok, TimePs at) {
-    mix(ok);
+  c0.write(l0, cap0, random_bytes(20000, 7), [&](dfs::DfsError err, TimePs at) {
+    mix(err == dfs::DfsError::kOk);
     mix(at);
   });
-  c1.write(l1, cap1, random_bytes(30000, 9), [&](bool ok, TimePs at) {
-    mix(ok);
+  c1.write(l1, cap1, random_bytes(30000, 9), [&](dfs::DfsError err, TimePs at) {
+    mix(err == dfs::DfsError::kOk);
     mix(at);
   });
   cluster.sim().run();

@@ -3,6 +3,8 @@
 // every node involved, sane completion semantics.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/rng.hpp"
 #include "ec/reed_solomon.hpp"
 #include "protocols/cpu_repl.hpp"
@@ -28,7 +30,7 @@ Bytes random_bytes(std::size_t n, std::uint64_t seed) {
 
 struct Run {
   bool done = false;
-  bool ok = false;
+  dfs::DfsError err = dfs::DfsError::kOk;
   TimePs at = 0;
 };
 
@@ -37,9 +39,9 @@ struct Run {
 Run drive(Cluster& cluster, Client& client, WriteProtocol& proto, const FileLayout& layout,
           const auth::Capability& cap, const Bytes& data) {
   Run r;
-  proto.write(client, layout, cap, data, [&](bool ok, TimePs at) {
+  proto.write(client, layout, cap, data, [&](dfs::DfsError err, TimePs at) {
     r.done = true;
-    r.ok = ok;
+    r.err = err;
     r.at = at;
   });
   cluster.sim().run();
@@ -63,7 +65,7 @@ TEST(RawWriteProtocol, WritesAndCompletesOnTransportAck) {
   const Bytes data = random_bytes(20000, 1);
   const auto r = drive(cluster, client, proto, layout, cap, data);
   ASSERT_TRUE(r.done);
-  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kOk);
   EXPECT_EQ(cluster.storage_by_node(layout.targets[0].node)
                 .target()
                 .read(layout.targets[0].addr, data.size()),
@@ -80,7 +82,7 @@ TEST(RpcProtocol, WritesViaBounceBuffer) {
   const Bytes data = random_bytes(30000, 2);
   const auto r = drive(cluster, client, proto, layout, cap, data);
   ASSERT_TRUE(r.done);
-  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kOk);
   EXPECT_EQ(cluster.storage_by_node(layout.targets[0].node)
                 .target()
                 .read(layout.targets[0].addr, data.size()),
@@ -88,18 +90,31 @@ TEST(RpcProtocol, WritesViaBounceBuffer) {
 }
 
 TEST(RpcProtocol, RejectsForgedCapability) {
-  Cluster cluster(host_path_config());
-  Client client(cluster, 0);
-  const auto& layout = cluster.metadata().create("o", 16 * KiB, FilePolicy{});
-  auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
-  cap.mac ^= 0xBAD;
-  RpcWrite proto(cluster);
+  // Both RPC flavours validate on the server CPU and answer a forged
+  // capability with a denial status that the client surfaces as kDenied.
+  for (const bool zero_copy : {false, true}) {
+    Cluster cluster(host_path_config());
+    Client client(cluster, 0);
+    const auto& layout = cluster.metadata().create("o", 16 * KiB, FilePolicy{});
+    auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
+    cap.mac ^= 0xBAD;
+    // Each protocol installs its own server on the storage nodes, so only
+    // one is constructed per cluster.
+    std::unique_ptr<WriteProtocol> proto;
+    if (zero_copy) {
+      proto = std::make_unique<RpcRdmaWrite>(cluster);
+    } else {
+      proto = std::make_unique<RpcWrite>(cluster);
+    }
 
-  const auto r = drive(cluster, client, proto, layout, cap, random_bytes(4 * KiB, 3));
-  ASSERT_TRUE(r.done);
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(proto.validation_failures(), 1u);
-  EXPECT_EQ(cluster.storage_by_node(layout.targets[0].node).target().bytes_written(), 0u);
+    const auto r = drive(cluster, client, *proto, layout, cap, random_bytes(4 * KiB, 3));
+    ASSERT_TRUE(r.done) << proto->name();
+    EXPECT_EQ(r.err, dfs::DfsError::kDenied) << proto->name();
+    if (!zero_copy) {
+      EXPECT_EQ(static_cast<RpcWrite&>(*proto).validation_failures(), 1u);
+    }
+    EXPECT_EQ(cluster.storage_by_node(layout.targets[0].node).target().bytes_written(), 0u);
+  }
 }
 
 TEST(RpcRdmaProtocol, ZeroCopyWrite) {
@@ -112,7 +127,7 @@ TEST(RpcRdmaProtocol, ZeroCopyWrite) {
   const Bytes data = random_bytes(100000, 4);
   const auto r = drive(cluster, client, proto, layout, cap, data);
   ASSERT_TRUE(r.done);
-  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kOk);
   EXPECT_EQ(cluster.storage_by_node(layout.targets[0].node)
                 .target()
                 .read(layout.targets[0].addr, data.size()),
@@ -169,7 +184,7 @@ TEST(CpuReplProtocol, RingReplicatesToAllNodes) {
   const Bytes data = random_bytes(100000, 6);
   const auto r = drive(cluster, client, proto, layout, cap, data);
   ASSERT_TRUE(r.done);
-  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kOk);
   expect_replicated(cluster, layout, data);
 }
 
@@ -184,7 +199,7 @@ TEST(CpuReplProtocol, PbtReplicatesToAllNodes) {
   const Bytes data = random_bytes(90000, 7);
   const auto r = drive(cluster, client, proto, layout, cap, data);
   ASSERT_TRUE(r.done);
-  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kOk);
   expect_replicated(cluster, layout, data);
 }
 
@@ -225,7 +240,7 @@ TEST(RdmaFlatProtocol, ClientWritesEveryReplica) {
   const Bytes data = random_bytes(40000, 9);
   const auto r = drive(cluster, client, proto, layout, cap, data);
   ASSERT_TRUE(r.done);
-  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kOk);
   expect_replicated(cluster, layout, data);
 }
 
@@ -240,7 +255,7 @@ TEST(HyperLoopProtocol, RingReplicatesWithoutStorageCpu) {
   const Bytes data = random_bytes(100000, 10);
   const auto r = drive(cluster, client, proto, layout, cap, data);
   ASSERT_TRUE(r.done);
-  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kOk);
   expect_replicated(cluster, layout, data);
   // NIC-only: no CPU server was ever installed, so forwarding came from the
   // triggered WQEs.
@@ -286,7 +301,7 @@ TEST(InecProtocol, WritesDataAndCorrectParity) {
   Bytes data = random_bytes(30000, 12);
   const auto r = drive(cluster, client, proto, layout, cap, data);
   ASSERT_TRUE(r.done);
-  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.err, dfs::DfsError::kOk);
 
   const auto chunk_len = static_cast<std::size_t>(layout.chunk_len);
   Bytes padded = data;

@@ -43,8 +43,8 @@ TEST(Steering, OverloadedPspinHandsOffToHostService) {
   const Bytes da = random_bytes(512 * KiB, 1);
   const Bytes db = random_bytes(512 * KiB, 2);
   int oks = 0;
-  c0.write(la, capa, da, [&](bool ok, TimePs) { oks += ok; });
-  c1.write(lb, capb, db, [&](bool ok, TimePs) { oks += ok; });
+  c0.write(la, capa, da, [&](dfs::DfsError err, TimePs) { oks += err == dfs::DfsError::kOk; });
+  c1.write(lb, capb, db, [&](dfs::DfsError err, TimePs) { oks += err == dfs::DfsError::kOk; });
   cluster.sim().run();
 
   EXPECT_EQ(oks, 2);  // both writes succeed despite the saturated NIC
@@ -68,8 +68,10 @@ TEST(Steering, NoHandlerMeansNoSteering) {
   const auto capa = cluster.metadata().grant(c0.client_id(), la, auth::Right::kWrite);
   const auto capb = cluster.metadata().grant(c1.client_id(), lb, auth::Right::kWrite);
   int oks = 0;
-  c0.write(la, capa, random_bytes(256 * KiB, 3), [&](bool ok, TimePs) { oks += ok; });
-  c1.write(lb, capb, random_bytes(256 * KiB, 4), [&](bool ok, TimePs) { oks += ok; });
+  c0.write(la, capa, random_bytes(256 * KiB, 3),
+           [&](dfs::DfsError err, TimePs) { oks += err == dfs::DfsError::kOk; });
+  c1.write(lb, capb, random_bytes(256 * KiB, 4),
+           [&](dfs::DfsError err, TimePs) { oks += err == dfs::DfsError::kOk; });
   cluster.sim().run();
   EXPECT_EQ(node.nic().steered_to_host(), 0u);
   EXPECT_EQ(oks, 2);  // PsPIN keeps both (limit inactive without a handler)
@@ -88,14 +90,15 @@ TEST(Steering, HostServiceEnforcesValidation) {
   auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
   cap.mac ^= 1;
 
-  bool done = false, ok = true;
-  client.write(layout, cap, random_bytes(16 * KiB, 5), [&](bool o, TimePs) {
+  bool done = false;
+  dfs::DfsError werr = dfs::DfsError::kOk;
+  client.write(layout, cap, random_bytes(16 * KiB, 5), [&](dfs::DfsError err, TimePs) {
     done = true;
-    ok = o;
+    werr = err;
   });
   cluster.sim().run();
   EXPECT_TRUE(done);
-  EXPECT_FALSE(ok);
+  EXPECT_EQ(werr, dfs::DfsError::kDenied);
   EXPECT_EQ(host.validation_failures(), 1u);
   EXPECT_EQ(node.target().bytes_written(), 0u);
 }
@@ -114,13 +117,17 @@ TEST(Steering, CpuModeNodeServesWritesAndReads) {
 
   const Bytes data = random_bytes(30000, 6);
   bool wrote = false;
-  client.write(layout, cap, data, [&](bool ok, TimePs) { wrote = ok; });
+  client.write(layout, cap, data,
+               [&](dfs::DfsError err, TimePs) { wrote = err == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(wrote);
 
   Bytes got;
   client.read(layout, cap, static_cast<std::uint32_t>(data.size()),
-              [&](Bytes d, TimePs) { got = std::move(d); });
+              [&](dfs::DfsError err, Bytes d, TimePs) {
+                EXPECT_EQ(err, dfs::DfsError::kOk);
+                got = std::move(d);
+              });
   cluster.sim().run();
   EXPECT_EQ(got, data);
   EXPECT_EQ(host.requests_handled(), 2u);
@@ -146,7 +153,8 @@ TEST(Steering, HostForwardedReplicationLandsEverywhere) {
 
   const Bytes data = random_bytes(100000, 7);
   bool ok = false;
-  client.write(layout, cap, data, [&](bool o, TimePs) { ok = o; });
+  client.write(layout, cap, data,
+               [&](dfs::DfsError err, TimePs) { ok = err == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(ok);
   for (const auto& coord : layout.targets) {
@@ -178,7 +186,8 @@ TEST(Steering, CpuModeErasureCodingProducesCorrectParity) {
 
   Bytes data = random_bytes(30000, 8);
   bool ok = false;
-  client.write(layout, cap, data, [&](bool o, TimePs) { ok = o; });
+  client.write(layout, cap, data,
+               [&](dfs::DfsError err, TimePs) { ok = err == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(ok);
 
@@ -218,8 +227,8 @@ TEST(Steering, RetryRecoversFromTableExhaustion) {
   const Bytes da = random_bytes(512 * KiB, 9);
   const Bytes db = random_bytes(512 * KiB, 10);
   int oks = 0;
-  c0.write(la, capa, da, [&](bool ok, TimePs) { oks += ok; });
-  c1.write(lb, capb, db, [&](bool ok, TimePs) { oks += ok; });
+  c0.write(la, capa, da, [&](dfs::DfsError err, TimePs) { oks += err == dfs::DfsError::kOk; });
+  c1.write(lb, capb, db, [&](dfs::DfsError err, TimePs) { oks += err == dfs::DfsError::kOk; });
   cluster.sim().run();
 
   EXPECT_EQ(oks, 2);  // the denied write eventually succeeds via retry
@@ -238,13 +247,18 @@ TEST(Steering, OffsetWriteAndRead) {
   const Bytes head = random_bytes(1000, 11);
   const Bytes mid = random_bytes(1000, 12);
   bool ok1 = false, ok2 = false;
-  client.write_at(layout, cap, 0, head, [&](bool o, TimePs) { ok1 = o; });
-  client.write_at(layout, cap, 10000, mid, [&](bool o, TimePs) { ok2 = o; });
+  client.write_at(layout, cap, 0, head,
+                  [&](dfs::DfsError err, TimePs) { ok1 = err == dfs::DfsError::kOk; });
+  client.write_at(layout, cap, 10000, mid,
+                  [&](dfs::DfsError err, TimePs) { ok2 = err == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(ok1 && ok2);
 
   Bytes got;
-  client.read_at(layout, cap, 10000, 1000, [&](Bytes d, TimePs) { got = std::move(d); });
+  client.read_at(layout, cap, 10000, 1000, [&](dfs::DfsError err, Bytes d, TimePs) {
+    EXPECT_EQ(err, dfs::DfsError::kOk);
+    got = std::move(d);
+  });
   cluster.sim().run();
   EXPECT_EQ(got, mid);
   EXPECT_EQ(cluster.storage_by_node(layout.targets[0].node)
@@ -258,7 +272,7 @@ TEST(Steering, OffsetWriteBoundsChecked) {
   Client client(cluster, 0);
   const auto& layout = cluster.metadata().create("a", 4 * KiB, FilePolicy{});
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
-  EXPECT_THROW(client.write_at(layout, cap, 4000, Bytes(1000, 0), [](bool, TimePs) {}),
+  EXPECT_THROW(client.write_at(layout, cap, 4000, Bytes(1000, 0), [](dfs::DfsError, TimePs) {}),
                std::length_error);
 }
 
@@ -275,7 +289,8 @@ TEST(Steering, OffsetReplicatedWrite) {
 
   const Bytes data = random_bytes(5000, 13);
   bool ok = false;
-  client.write_at(layout, cap, 7777, data, [&](bool o, TimePs) { ok = o; });
+  client.write_at(layout, cap, 7777, data,
+                  [&](dfs::DfsError err, TimePs) { ok = err == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(ok);
   for (const auto& coord : layout.targets) {

@@ -115,14 +115,15 @@ TEST(StorageEngine, PerNodeEngineSelectionInCluster) {
       cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
   const Bytes data = random_bytes(8 * KiB, 5);
   bool ok = false;
-  client.write(layout, cap, data, [&](bool w, TimePs) { ok = w; });
+  client.write(layout, cap, data,
+               [&](dfs::DfsError err, TimePs) { ok = err == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(ok);
   Bytes back;
-  client.read(layout, cap, 8 * KiB, services::ReadCb([&](dfs::DfsError e, Bytes d, TimePs) {
-                EXPECT_EQ(e, dfs::DfsError::kOk);
-                back = std::move(d);
-              }));
+  client.read(layout, cap, 8 * KiB, [&](dfs::DfsError e, Bytes d, TimePs) {
+    EXPECT_EQ(e, dfs::DfsError::kOk);
+    back = std::move(d);
+  });
   cluster.sim().run();
   EXPECT_EQ(back, data);
 }
@@ -279,7 +280,8 @@ std::uint64_t betree_cluster_digest(std::uint64_t seed) {
   const auto cap =
       cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
   bool ok = false;
-  client.write(layout, cap, random_bytes(size, seed), [&](bool w, TimePs) { ok = w; });
+  client.write(layout, cap, random_bytes(size, seed),
+               [&](dfs::DfsError err, TimePs) { ok = err == dfs::DfsError::kOk; });
   const TimePs end = cluster.sim().run();
   EXPECT_TRUE(ok) << "seed " << seed;
 

@@ -85,8 +85,8 @@ TEST_P(SystemStress, MixedWorkloadConvergesToModel) {
     const auto cap =
         cluster.metadata().grant(client->client_id(), *obj.layout, auth::Right::kReadWrite);
     cluster.sim().schedule(when, [client, &obj, cap, data = std::move(data), &completed]() {
-      client->write(*obj.layout, cap, data, [&completed](bool ok, TimePs) {
-        EXPECT_TRUE(ok);
+      client->write(*obj.layout, cap, data, [&completed](dfs::DfsError err, TimePs) {
+        EXPECT_EQ(err, dfs::DfsError::kOk);
         ++completed;
       });
     });
@@ -116,10 +116,11 @@ TEST_P(SystemStress, MixedWorkloadConvergesToModel) {
       obj.expected.resize(obj.layout->size, 0);
     }
     ++expected_ops;
-    client->write_at(*obj.layout, cap, off, std::move(data), [&completed](bool ok, TimePs) {
-      EXPECT_TRUE(ok);
-      ++completed;
-    });
+    client->write_at(*obj.layout, cap, off, std::move(data),
+                     [&completed](dfs::DfsError err, TimePs) {
+                       EXPECT_EQ(err, dfs::DfsError::kOk);
+                       ++completed;
+                     });
   }
   cluster.sim().run();
   ASSERT_EQ(completed, expected_ops);
@@ -139,7 +140,8 @@ TEST_P(SystemStress, MixedWorkloadConvergesToModel) {
     if (len == 0) continue;
     ++reads_issued;
     client->read(*obj.layout, cap, static_cast<std::uint32_t>(len),
-                 [&reads_ok, &obj, len](Bytes data, TimePs) {
+                 [&reads_ok, &obj, len](dfs::DfsError err, Bytes data, TimePs) {
+                   EXPECT_EQ(err, dfs::DfsError::kOk);
                    reads_ok += data == Bytes(obj.expected.begin(),
                                              obj.expected.begin() +
                                                  static_cast<std::ptrdiff_t>(len));

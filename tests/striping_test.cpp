@@ -75,13 +75,17 @@ TEST(Striping, FullWriteReadRoundTrip) {
 
   const Bytes data = random_bytes(300000, 1);
   bool ok = false;
-  client.write(layout, cap, data, [&](bool o, TimePs) { ok = o; });
+  client.write(layout, cap, data,
+               [&](dfs::DfsError err, TimePs) { ok = err == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(ok);
 
   Bytes got;
   client.read(layout, cap, static_cast<std::uint32_t>(data.size()),
-              [&](Bytes d, TimePs) { got = std::move(d); });
+              [&](dfs::DfsError err, Bytes d, TimePs) {
+                EXPECT_EQ(err, dfs::DfsError::kOk);
+                got = std::move(d);
+              });
   cluster.sim().run();
   EXPECT_EQ(got, data);
 }
@@ -95,7 +99,8 @@ TEST(Striping, DataActuallySpreadsAcrossNodes) {
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
 
   bool ok = false;
-  client.write(layout, cap, random_bytes(256 * KiB, 2), [&](bool o, TimePs) { ok = o; });
+  client.write(layout, cap, random_bytes(256 * KiB, 2),
+               [&](dfs::DfsError err, TimePs) { ok = err == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(ok);
   // Each node holds exactly a quarter of the bytes.
@@ -116,7 +121,8 @@ TEST(Striping, UnalignedOffsetWriteCrossingUnits) {
   // unaligned offset.
   Bytes base = random_bytes(60000, 3);
   bool ok = false;
-  client.write(layout, cap, base, [&](bool o, TimePs) { ok = o; });
+  client.write(layout, cap, base,
+               [&](dfs::DfsError err, TimePs) { ok = err == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(ok);
 
@@ -124,12 +130,16 @@ TEST(Striping, UnalignedOffsetWriteCrossingUnits) {
   const Bytes patch = random_bytes(20000, 4);
   std::copy(patch.begin(), patch.end(), base.begin() + static_cast<std::ptrdiff_t>(off));
   ok = false;
-  client.write_at(layout, cap, off, patch, [&](bool o, TimePs) { ok = o; });
+  client.write_at(layout, cap, off, patch,
+                  [&](dfs::DfsError err, TimePs) { ok = err == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(ok);
 
   Bytes got;
-  client.read(layout, cap, 60000, [&](Bytes d, TimePs) { got = std::move(d); });
+  client.read(layout, cap, 60000, [&](dfs::DfsError err, Bytes d, TimePs) {
+    EXPECT_EQ(err, dfs::DfsError::kOk);
+    got = std::move(d);
+  });
   cluster.sim().run();
   EXPECT_EQ(got, base);
 }
@@ -144,12 +154,16 @@ TEST(Striping, SubRangeRead) {
 
   Bytes data = random_bytes(40000, 5);
   bool ok = false;
-  client.write(layout, cap, data, [&](bool o, TimePs) { ok = o; });
+  client.write(layout, cap, data,
+               [&](dfs::DfsError err, TimePs) { ok = err == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(ok);
 
   Bytes got;
-  client.read_at(layout, cap, 1500, 5000, [&](Bytes d, TimePs) { got = std::move(d); });
+  client.read_at(layout, cap, 1500, 5000, [&](dfs::DfsError err, Bytes d, TimePs) {
+    EXPECT_EQ(err, dfs::DfsError::kOk);
+    got = std::move(d);
+  });
   cluster.sim().run();
   EXPECT_EQ(got, Bytes(data.begin() + 1500, data.begin() + 6500));
 }
@@ -167,7 +181,7 @@ TEST(Striping, AggregatesBandwidthOverSingleTarget) {
     Client client(cluster, 0);
     const auto& layout = cluster.metadata().create("s", 1 * MiB, striped(4, 64 * KiB));
     const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
-    client.write(layout, cap, data, [&](bool, TimePs at) { striped_at = at; });
+    client.write(layout, cap, data, [&](dfs::DfsError, TimePs at) { striped_at = at; });
     cluster.sim().run();
   }
   {
@@ -177,7 +191,7 @@ TEST(Striping, AggregatesBandwidthOverSingleTarget) {
     Client client(cluster, 0);
     const auto& layout = cluster.metadata().create("s", 1 * MiB, FilePolicy{});
     const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
-    client.write(layout, cap, data, [&](bool, TimePs at) { single_at = at; });
+    client.write(layout, cap, data, [&](dfs::DfsError, TimePs at) { single_at = at; });
     cluster.sim().run();
   }
   EXPECT_LE(striped_at, single_at);

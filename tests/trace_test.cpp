@@ -85,7 +85,7 @@ TEST(SpanTracer, DeviceRecordsEveryHandler) {
   Rng rng(1);
   Bytes data(10000);
   for (auto& b : data) b = rng.next_byte();
-  client.write(layout, cap, data, [](bool, TimePs) {});
+  client.write(layout, cap, data, [](dfs::DfsError, TimePs) {});
   cluster.sim().run();
 
   // 10000 B -> 5 packets: 1 HH + 5 PH + 1 CH = 7 handler executions, each
@@ -182,7 +182,8 @@ TEST(SpanTracer, WholeSystemWriteCorrelatesAcrossLayers) {
   const auto& layout = cluster.metadata().create("o", 16 * KiB, policy);
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
   bool ok = false;
-  client.write(layout, cap, Bytes(10000, 5), [&](bool o, TimePs) { ok = o; });
+  client.write(layout, cap, Bytes(10000, 5),
+               [&](dfs::DfsError err, TimePs) { ok = err == dfs::DfsError::kOk; });
   cluster.sim().run();
   ASSERT_TRUE(ok);
 
@@ -213,7 +214,7 @@ TEST(SpanTracer, WholeSystemWriteCorrelatesAcrossLayers) {
   // Detaching stops recording.
   cluster.set_tracer(nullptr);
   const auto before = tracer.size();
-  client.write(layout, cap, Bytes(1000, 6), [](bool, TimePs) {});
+  client.write(layout, cap, Bytes(1000, 6), [](dfs::DfsError, TimePs) {});
   cluster.sim().run();
   EXPECT_EQ(tracer.size(), before);
 }
@@ -227,7 +228,7 @@ TEST(SpanTracer, DetachedDeviceRecordsNothing) {
   node.pspin().set_span_tracer(&tracer);
   node.pspin().set_span_tracer(nullptr);  // detach again
   const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kWrite);
-  client.write(layout, cap, Bytes(1024, 1), [](bool, TimePs) {});
+  client.write(layout, cap, Bytes(1024, 1), [](dfs::DfsError, TimePs) {});
   cluster.sim().run();
   EXPECT_EQ(tracer.size(), 0u);
 }
