@@ -2,8 +2,7 @@
 // node's PsPIN, run a replicated write and an erasure-coded write, export a
 // Chrome trace (load the JSON in chrome://tracing or ui.perfetto.dev), and
 // print a per-node utilization summary. Handler spans sit on lane
-// cluster*1000 + hpu; a NADFS_OBS=OFF build compiles the hooks out and
-// records nothing.
+// cluster*1000 + hpu.
 //
 //   $ ./build/examples/handler_timeline [output.json]
 #include <cstdio>

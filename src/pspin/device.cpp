@@ -158,7 +158,7 @@ TimePs PsPinDevice::run_handler(spin::HandlerType type, const spin::Handler& han
   stats_.record(type, end - start, ctx.instr());
   last_handler_end_ = std::max(last_handler_end_, end);
   const auto hpu = static_cast<unsigned>(std::distance(cluster_hpus.begin(), it));
-  if (obs::kObsEnabled && span_trace_) {
+  if (span_trace_) {
     span_trace_->record({nic_->node_id(), msg.cluster * 1000 + hpu, "handler",
                          spin::handler_type_name(type),
                          pkt.user_tag != 0 ? pkt.user_tag : pkt.msg_id, pkt.msg_id, pkt.seq,
@@ -266,7 +266,7 @@ void PsPinDevice::run_cleanup(const spin::MessageKey& key) {
   spin::HandlerCtx ctx(nic_->node_id(), start, msg.flow_slot);
   ctx_->cleanup_handler(ctx, key);
   const TimePs end = replay(ctx, msg, msg.cluster, start);
-  if (obs::kObsEnabled && span_trace_) {
+  if (span_trace_) {
     span_trace_->record({nic_->node_id(),
                          msg.cluster * 1000 +
                              static_cast<unsigned>(std::distance(cluster_hpus.begin(), hpu)),

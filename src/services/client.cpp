@@ -101,10 +101,6 @@ Client::~Client() { cluster_.metrics().remove_prefix(metrics_prefix_); }
 
 void Client::note_op(const char* name, const char* failed_name, bool ok, std::uint64_t greq,
                      TimePs issued, TimePs at, obs::QuantileSketch& latency) {
-  if constexpr (!obs::kObsEnabled) {
-    (void)name, (void)failed_name, (void)ok, (void)greq, (void)issued, (void)at, (void)latency;
-    return;
-  }
   if (auto* tracer = cluster_.tracer()) {
     tracer->record({node_.id(), obs::kLaneClientOp, "op", ok ? name : failed_name, greq, greq, 0,
                     0, issued, at});

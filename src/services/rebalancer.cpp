@@ -192,7 +192,7 @@ void Rebalancer::migrate(const Candidate& c, std::uint64_t budget) {
               }
               ++moves_;
               moved_bytes_ += c.span;
-              if (obs::kObsEnabled && cluster_.tracer() != nullptr) {
+              if (cluster_.tracer() != nullptr) {
                 cluster_.tracer()->record({to.node, obs::kLaneRebalance, "rebalance", "move",
                                            c.object_id, 0, 0, c.span, started, at});
               }

@@ -14,12 +14,12 @@
 //    typical capture lists (this + a few scalars, or a moved-in Packet
 //    header struct) fit inline and never touch the heap. Oversized
 //    callables transparently fall back to a heap allocation.
-//  - The priority queue is a calendar queue (sim/calendar_queue.hpp):
-//    time-bucketed FIFO lanes with a far-future overflow heap, amortized
-//    O(1) per op on the densely populated NIC/link timelines where the
-//    PR 1 binary heap paid O(log n). Tie-breaking is byte-identical to
-//    the heap — strictly ascending (time, seq) — proven by the
-//    differential oracle harness in tests/sim_queue_differential_test.cpp.
+//  - The priority queue is a binary min-heap of (time, seq, slot) keys
+//    over recycled payload slots (sim/event_queue.hpp): sifts move 24-byte
+//    keys, never the callables. The benchmark workloads peak at ~16k
+//    pending events (DESIGN.md §3a), where the heap's O(log n) is cheap.
+//    Pop order is strictly ascending (time, seq), checked against a
+//    reference heap by tests/sim_queue_differential_test.cpp.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +29,7 @@
 #include <utility>
 
 #include "common/units.hpp"
-#include "sim/calendar_queue.hpp"
+#include "sim/event_queue.hpp"
 
 namespace nadfs::sim {
 
@@ -168,13 +168,10 @@ class Simulator {
   std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t executed_events() const { return executed_; }
 
-  /// The underlying calendar queue (read-only introspection for tests).
-  const CalendarQueue<EventFn>& queue() const { return queue_; }
-
  private:
   TimePs now_ = 0;
   std::uint64_t executed_ = 0;
-  CalendarQueue<EventFn> queue_;
+  EventQueue<EventFn> queue_;
 };
 
 }  // namespace nadfs::sim

@@ -190,7 +190,7 @@ void BetaTreeEngine::start_flush(TimePs at) {
   flush_done_ = w.end + cfg_.write_latency;
   ++flushes_;
   flush_bytes_ += f.cost;
-  if (obs::kObsEnabled && tracer_ != nullptr) {
+  if (tracer_ != nullptr) {
     tracer_->record(
         {node_, obs::kLaneStorage, "storage", "flush", 0, 0, 0, f.cost, w.start, w.end});
   }
@@ -230,7 +230,7 @@ void BetaTreeEngine::maybe_compact(std::size_t level, TimePs at) {
   ++compactions_;
   compact_read_bytes_ += in_cost;
   compact_write_bytes_ += out.cost;
-  if (obs::kObsEnabled && tracer_ != nullptr) {
+  if (tracer_ != nullptr) {
     tracer_->record({node_, obs::kLaneStorage, "storage", "compact",
                      static_cast<std::uint64_t>(level), 0, 0, in_cost + out.cost, w.start, w.end});
   }

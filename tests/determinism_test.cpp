@@ -100,10 +100,10 @@ std::uint64_t run_digest(const RunResult& r) {
 }
 
 TEST(Determinism, SpinPbtK4DigestPinnedAcrossQueueSwap) {
-  // Calendar-queue replay pin: these digests were recorded at commit
-  // bf5d7b8 with the PR 1 binary-heap event core (build/digest_probe run,
-  // 2026-08-07), BEFORE the calendar-queue swap. The swap — and any future
-  // event-core change — must reproduce the heap's schedule byte-for-byte.
+  // Event-core replay pin: these digests were recorded at commit bf5d7b8
+  // with the original binary-heap event core and have held across every
+  // queue swap since (a calendar queue, then the key+slot heap). Any
+  // event-core change must reproduce that schedule byte-for-byte.
   // If a deliberate timing-model change breaks this, re-record the
   // constants and say so in the commit message.
   EXPECT_EQ(run_digest(run_spin_pbt_k4(5 * 2048 + 13, 7)), 0xc0411f89e10c90ccull);

@@ -48,16 +48,6 @@ TEST(ObsCounter, BehavesLikeTheRawInteger) {
   EXPECT_EQ(*c.cell(), 6u);
 }
 
-/// NADFS_OBS=OFF compiles record() to a no-op: assert that, and tell the
-/// distribution tests to skip.
-bool sketch_compiled_out() {
-  if constexpr (obs::kObsEnabled) return false;
-  obs::QuantileSketch off;
-  off.record(ns(1));
-  EXPECT_EQ(off.count(), 0u);
-  return true;
-}
-
 TEST(ObsSketch, IndexOfEdges) {
   using S = obs::QuantileSketch;
   // Sub-ns durations (and 1 ns) share bucket 0; huge ones clamp to the last.
@@ -84,7 +74,6 @@ TEST(ObsSketch, CountSumMinMax) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.min_ps(), 0u);
   EXPECT_EQ(s.quantile_ps(0.5), 0u);
-  if (sketch_compiled_out()) GTEST_SKIP() << "quantile sketches compiled out (NADFS_OBS=OFF)";
   s.record(ns(3));
   s.record(ns(1));
   s.record(us(1));
@@ -97,7 +86,6 @@ TEST(ObsSketch, CountSumMinMax) {
 }
 
 TEST(ObsSketch, RepeatedValueQuantileIsExact) {
-  if (sketch_compiled_out()) GTEST_SKIP() << "quantile sketches compiled out (NADFS_OBS=OFF)";
   obs::QuantileSketch s;
   const std::uint64_t v = 7321;  // ps, deliberately not on a bucket bound
   for (int i = 0; i < 100; ++i) s.record(v);
@@ -105,7 +93,6 @@ TEST(ObsSketch, RepeatedValueQuantileIsExact) {
 }
 
 TEST(ObsSketch, QuantilesTrackExactPercentilesWithinOneSubBucket) {
-  if (sketch_compiled_out()) GTEST_SKIP() << "quantile sketches compiled out (NADFS_OBS=OFF)";
   // Seeded log-normal latencies: median ~5 us, a long right tail.
   Rng rng(2026);
   obs::QuantileSketch s;
@@ -126,7 +113,6 @@ TEST(ObsSketch, QuantilesTrackExactPercentilesWithinOneSubBucket) {
 }
 
 TEST(ObsSketch, MergeEqualsRecordingTheUnion) {
-  if (sketch_compiled_out()) GTEST_SKIP() << "quantile sketches compiled out (NADFS_OBS=OFF)";
   Rng rng(7);
   obs::QuantileSketch a, b, both;
   for (int i = 0; i < 500; ++i) {
@@ -174,15 +160,11 @@ TEST(ObsRegistry, SnapshotAndJsonRoundTrip) {
   EXPECT_EQ(snap.at("node1.dfs.acks"), 3);
   EXPECT_EQ(snap.at("node1.nic.raw"), 7);
   EXPECT_EQ(snap.at("node1.queue_depth"), 42);
-  if constexpr (obs::kObsEnabled) {
-    EXPECT_EQ(snap.at("client0.latency.count"), 1);
-    EXPECT_EQ(snap.at("client0.latency.sum_ps"), static_cast<long long>(us(2)));
-    EXPECT_EQ(snap.at("client0.latency.max_ps"), static_cast<long long>(us(2)));
-    const auto sub = "client0.latency.s" + std::to_string(obs::QuantileSketch::index_of(us(2)));
-    EXPECT_EQ(snap.at(sub), 1);
-  } else {
-    EXPECT_EQ(snap.at("client0.latency.count"), 0);  // record() compiled out
-  }
+  EXPECT_EQ(snap.at("client0.latency.count"), 1);
+  EXPECT_EQ(snap.at("client0.latency.sum_ps"), static_cast<long long>(us(2)));
+  EXPECT_EQ(snap.at("client0.latency.max_ps"), static_cast<long long>(us(2)));
+  const auto sub = "client0.latency.s" + std::to_string(obs::QuantileSketch::index_of(us(2)));
+  EXPECT_EQ(snap.at(sub), 1);
 
   // The JSON export parses back to exactly the snapshot.
   std::string err;
@@ -331,9 +313,7 @@ std::uint64_t run_workload_digest(bool traced) {
     // Reading the registry mid-flight is the documented usage; fold a
     // snapshot read in so the test covers it, but never into the digest.
     EXPECT_GT(cluster.metrics().snapshot().size(), 0u);
-    if constexpr (obs::kObsEnabled) {
-      EXPECT_GT(tracer.size(), 0u);
-    }
+    EXPECT_GT(tracer.size(), 0u);
   }
   for (std::size_t n = 0; n < cluster.storage_node_count(); ++n) {
     mix(cluster.storage_node(n).target().bytes_written());
@@ -350,8 +330,7 @@ TEST(ObsNeutrality, TracerAndRegistryDoNotPerturbTheRun) {
   // and zero RNG draws, so the full digest — executed_events included —
   // is identical with the whole stack attached. (The sampler is the
   // documented exception: its Periodic ticks add events; see DESIGN.md
-  // §3c.) With cmake -DNADFS_OBS=OFF the same property holds trivially:
-  // the hooks compile out and this test still passes both ways.
+  // §3c.)
   EXPECT_EQ(run_workload_digest(false), run_workload_digest(true));
 }
 

@@ -1,27 +1,31 @@
-// Differential scheduler harness: proves the calendar-queue event core
-// (src/sim/calendar_queue.hpp) is order-identical to the PR 1 binary heap
-// it replaced.
+// Differential scheduler harness: proves the event queue
+// (src/sim/event_queue.hpp) pops in exactly the order of the reference
+// binary heap (sim_reference_heap.hpp).
 //
-// SchedulerOracle drives sim::CalendarQueue and the retained reference
-// heap (sim_reference_heap.hpp) in lockstep through seeded randomized
-// adversarial workloads — same-timestamp tie storms, schedule-from-pop
-// re-entrancy, horizon-crossing delays, drain/refill cycles across
-// timescales — asserting identical (when, seq, payload) at every pop and
-// identical sizes at every step. A second, simulator-level harness runs
-// the real sim::Simulator against a reference-heap simulator clone and
-// compares the now() trajectory, firing order, and executed_events().
+// SchedulerOracle drives sim::EventQueue and the reference heap in
+// lockstep through seeded randomized adversarial workloads — same-timestamp
+// tie storms, schedule-from-pop re-entrancy, horizon-crossing delays,
+// drain/refill cycles across timescales — asserting identical
+// (when, seq, payload) at every pop and identical sizes at every step. A
+// second, simulator-level harness runs the real sim::Simulator against a
+// reference-heap simulator clone and compares the now() trajectory, firing
+// order, and executed_events(). EventQueue.* unit checks cover peek and
+// payload-slot reuse.
 //
 // Every assertion prints the workload seed so a failure replays with
 //   --gtest_filter=<Test> plus the seed hard-coded in kSeeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/calendar_queue.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim_reference_heap.hpp"
 
@@ -32,7 +36,7 @@ constexpr std::uint64_t kSeeds[] = {0xA11CE, 0xB0B, 0xC0FFEE};
 
 // ------------------------------------------------------- SchedulerOracle
 
-/// Drives the calendar queue and the reference heap in lockstep. Payloads
+/// Drives the event queue and the reference heap in lockstep. Payloads
 /// are ids distinct from seq (id = 2*counter + 1) so a payload routed to
 /// the wrong entry is caught even where seq happens to match.
 class SchedulerOracle {
@@ -40,14 +44,14 @@ class SchedulerOracle {
   explicit SchedulerOracle(std::uint64_t seed) : seed_(seed) {}
 
   ~SchedulerOracle() {
-    EXPECT_EQ(cal_.size(), ref_.size()) << "final size mismatch, seed=" << seed_;
+    EXPECT_EQ(q_.size(), ref_.size()) << "final size mismatch, seed=" << seed_;
   }
 
   /// Enqueue one event `delay` after the current (last-popped) time.
   void push(TimePs delay) {
     const TimePs when = now_ + delay;
     const std::uint64_t id = 2 * next_id_++ + 1;
-    const std::uint64_t s1 = cal_.push(when, id);
+    const std::uint64_t s1 = q_.push(when, id);
     const std::uint64_t s2 = ref_.push(when, id);
     EXPECT_EQ(s1, s2) << "seq assignment diverged, seed=" << seed_;
     ++ops_;
@@ -57,30 +61,30 @@ class SchedulerOracle {
   /// Returns false once a divergence has been observed (callers bail out).
   bool pop() {
     if (dead_) return false;
-    if (cal_.empty() || ref_.empty()) {
-      if (cal_.empty() != ref_.empty()) fail("one queue empty, the other not");
+    if (q_.empty() || ref_.empty()) {
+      if (q_.empty() != ref_.empty()) fail("one queue empty, the other not");
       return false;
     }
-    const auto* cp = cal_.peek();
+    const auto* qp = q_.peek();
     const auto* rp = ref_.peek();
-    if (cp->when != rp->when || cp->seq != rp->seq || cp->payload != rp->payload) {
+    if (qp->when != rp->when || qp->seq != rp->seq || q_.payload(*qp) != rp->payload) {
       fail("peek mismatch");
       return false;
     }
-    auto ce = cal_.pop();
+    auto qe = q_.pop();
     auto re = ref_.pop();
-    if (ce.when != re.when || ce.seq != re.seq || ce.payload != re.payload) {
-      ADD_FAILURE() << "pop mismatch at op " << ops_ << ", seed=" << seed_ << ": calendar ("
-                    << ce.when << "," << ce.seq << "," << ce.payload << ") vs heap (" << re.when
-                    << "," << re.seq << "," << re.payload << ")";
+    if (qe.when != re.when || qe.seq != re.seq || qe.payload != re.payload) {
+      ADD_FAILURE() << "pop mismatch at op " << ops_ << ", seed=" << seed_ << ": queue ("
+                    << qe.when << "," << qe.seq << "," << qe.payload << ") vs reference ("
+                    << re.when << "," << re.seq << "," << re.payload << ")";
       dead_ = true;
       return false;
     }
-    if (cal_.size() != ref_.size()) {
+    if (q_.size() != ref_.size()) {
       fail("size mismatch after pop");
       return false;
     }
-    now_ = ce.when;
+    now_ = qe.when;
     ++ops_;
     return true;
   }
@@ -90,12 +94,11 @@ class SchedulerOracle {
     }
   }
 
-  bool done() const { return dead_ || (cal_.empty() && ref_.empty()); }
+  bool done() const { return dead_ || (q_.empty() && ref_.empty()); }
   bool diverged() const { return dead_; }
   TimePs now() const { return now_; }
-  std::size_t pending() const { return cal_.size(); }
+  std::size_t pending() const { return q_.size(); }
   std::uint64_t ops() const { return ops_; }
-  const CalendarQueue<std::uint64_t>& calendar() const { return cal_; }
 
  private:
   void fail(const char* what) {
@@ -108,7 +111,7 @@ class SchedulerOracle {
   std::uint64_t next_id_ = 0;
   std::uint64_t ops_ = 0;
   bool dead_ = false;
-  CalendarQueue<std::uint64_t> cal_;
+  EventQueue<std::uint64_t> q_;
   ReferenceEventHeap<std::uint64_t> ref_;
 };
 
@@ -135,8 +138,8 @@ TEST(SimQueueDifferential, UniformWideRange) {
 }
 
 TEST(SimQueueDifferential, SameTimestampTieStorm) {
-  // Every event of a round lands on one timestamp: a single bucket soaks
-  // the whole population and must still drain in exact seq order.
+  // Every event of a round lands on one timestamp: the whole population
+  // ties on time and must still drain in exact seq order.
   run_differential([](SchedulerOracle& q, Rng& rng) {
     for (int round = 0; round < 3; ++round) {
       const TimePs at = rng.next_range(1, ns(50));
@@ -172,8 +175,8 @@ TEST(SimQueueDifferential, BurstyClusters) {
 
 TEST(SimQueueDifferential, ReentrantScheduleFromPop) {
   // Models schedule-from-inside-callback: every pop may push follow-ups
-  // at the just-popped time (delay 0 → into the live, partially drained
-  // bucket) or shortly after.
+  // at the just-popped time (delay 0 → ties with the rest of the current
+  // timestamp) or shortly after.
   run_differential([](SchedulerOracle& q, Rng& rng) {
     for (int i = 0; i < 2000; ++i) q.push(rng.next_below(us(1)));
     int push_budget = 10000;
@@ -191,8 +194,8 @@ TEST(SimQueueDifferential, ReentrantScheduleFromPop) {
 }
 
 TEST(SimQueueDifferential, HorizonCrossingDelays) {
-  // 30% of delays land far past the calendar window (overflow heap);
-  // drains force cursor jumps and overflow→wheel migration.
+  // 30% of delays land up to 2^50 ps out, interleaved with ns-scale
+  // delays and pops: far-future entries sit deep while near ones churn.
   run_differential([](SchedulerOracle& q, Rng& rng) {
     for (int i = 0; i < 12000 && !q.diverged(); ++i) {
       const std::uint64_t r = rng.next_below(10);
@@ -209,7 +212,7 @@ TEST(SimQueueDifferential, HorizonCrossingDelays) {
 
 TEST(SimQueueDifferential, DrainRefillAcrossTimescales) {
   // Full drain/refill cycles with the delay scale growing 64x per cycle:
-  // exercises shrink-to-minimum and bucket-width re-adaptation.
+  // the queue empties and refills at a new timescale each time.
   run_differential([](SchedulerOracle& q, Rng& rng) {
     for (int cycle = 0; cycle < 6; ++cycle) {
       const TimePs scale = TimePs{1} << (4 + 6 * cycle);
@@ -232,8 +235,8 @@ TEST(SimQueueDifferential, MonotoneSteadyStateChain) {
 }
 
 TEST(SimQueueDifferential, ZeroDelayStormDuringDrain) {
-  // Pushes at exactly the just-popped timestamp while its bucket is being
-  // consumed: the ordered-insert path of the live bucket.
+  // Pushes at exactly the just-popped timestamp while that timestamp is
+  // still being consumed: new ties must pop after the older ones.
   run_differential([](SchedulerOracle& q, Rng& rng) {
     for (int i = 0; i < 4000; ++i) q.push(rng.next_below(us(1)));
     int push_budget = 8000;
@@ -251,8 +254,7 @@ TEST(SimQueueDifferential, ZeroDelayStormDuringDrain) {
 
 TEST(SimQueueDifferential, GeometricScaleMix) {
   // Delays spanning 45 binary orders of magnitude with random push/pop
-  // mix: hammers width adaptation and the wheel/overflow boundary in
-  // both directions.
+  // mix: keys of every magnitude sift past each other in both directions.
   run_differential([](SchedulerOracle& q, Rng& rng) {
     for (int i = 0; i < 12000 && !q.diverged(); ++i) {
       if (rng.next_below(2) == 0 || q.pending() == 0) {
@@ -299,7 +301,7 @@ TEST(SimQueueDifferential, RandomAdversarialMix) {
 
 // ---------------------------------------- simulator-level differential
 
-/// Faithful clone of the PR 1 Simulator, over the retained reference heap:
+/// Faithful clone of the original Simulator, over the reference heap:
 /// same schedule/step/run semantics, same past-scheduling error.
 class RefSimulator {
  public:
@@ -378,73 +380,115 @@ class ReentrantDriver {
 
 TEST(SimQueueDifferential, SimulatorMatchesReferenceHeapSimulator) {
   for (const std::uint64_t seed : kSeeds) {
-    SimTrace cal = ReentrantDriver<Simulator>(seed).run();
+    SimTrace sim = ReentrantDriver<Simulator>(seed).run();
     SimTrace ref = ReentrantDriver<RefSimulator>(seed).run();
-    EXPECT_EQ(cal.executed, ref.executed) << "seed=" << seed;
-    EXPECT_GE(cal.executed, 3000u) << "seed=" << seed;
-    ASSERT_EQ(cal.fired.size(), ref.fired.size()) << "seed=" << seed;
-    EXPECT_EQ(cal.fired, ref.fired) << "firing order diverged, seed=" << seed;
-    EXPECT_EQ(cal.now_after_step, ref.now_after_step)
+    EXPECT_EQ(sim.executed, ref.executed) << "seed=" << seed;
+    EXPECT_GE(sim.executed, 3000u) << "seed=" << seed;
+    ASSERT_EQ(sim.fired.size(), ref.fired.size()) << "seed=" << seed;
+    EXPECT_EQ(sim.fired, ref.fired) << "firing order diverged, seed=" << seed;
+    EXPECT_EQ(sim.now_after_step, ref.now_after_step)
         << "now() trajectory diverged, seed=" << seed;
   }
 }
 
-// ------------------------------------------- calendar-queue unit checks
+// ---------------------------------------------- event-queue unit checks
 
-TEST(CalendarQueue, GrowsAndAdaptsBucketWidthUnderLoad) {
-  CalendarQueue<int> q;
-  const std::size_t initial_buckets = q.bucket_count();
-  Rng rng(1);
-  for (int i = 0; i < 50000; ++i) {
-    q.push(rng.next_below(ms(1)), i);
-  }
-  // Pushes are staged; sizing decisions happen when consumption begins.
-  ASSERT_NE(q.peek(), nullptr);
-  EXPECT_GT(q.bucket_count(), initial_buckets);
-  EXPECT_GT(q.rebuilds(), 0u);
-  // ms-range spread over 50k events: mean gap ~20 ns, so the width must
-  // have adapted well above the 1 ns default.
-  EXPECT_GT(q.bucket_shift(), 10u);
-}
-
-TEST(CalendarQueue, FarFutureLandsInOverflowAndMigratesBack) {
-  CalendarQueue<int> q;
-  q.push(ns(1), 0);
-  q.push(ms(1000), 1);  // far beyond any 16-bucket window
-  ASSERT_NE(q.peek(), nullptr);  // integrates the staged pushes
-  EXPECT_EQ(q.overflow_size(), 1u);
-  EXPECT_EQ(q.pop().payload, 0);
-  EXPECT_EQ(q.pop().payload, 1);  // cursor jump + migration
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.overflow_size(), 0u);
-}
-
-TEST(CalendarQueue, ShrinksAfterDrain) {
-  CalendarQueue<int> q;
-  for (int i = 0; i < 20000; ++i) q.push(static_cast<TimePs>(i) * ns(1), i);
-  ASSERT_NE(q.peek(), nullptr);  // integrates the staged pushes
-  const std::size_t grown = q.bucket_count();
-  EXPECT_GT(grown, CalendarQueue<int>::kMinBuckets);
-  for (int i = 0; i < 20000; ++i) q.pop();
-  EXPECT_LT(q.bucket_count(), grown);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarQueue, PeekIsStableAndMatchesPop) {
-  CalendarQueue<int> q;
+TEST(EventQueue, PeekIsStableAndMatchesPop) {
+  EventQueue<int> q;
   q.push(ns(7), 1);
   q.push(ns(3), 2);
   q.push(ns(3), 3);
   const auto* p = q.peek();
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->when, ns(3));
-  EXPECT_EQ(p->payload, 2);  // earliest time, lowest seq
+  EXPECT_EQ(q.payload(*p), 2);  // earliest time, lowest seq
+  EXPECT_EQ(q.peek(), p);       // peeking again changes nothing
   const auto e = q.pop();
   EXPECT_EQ(e.when, ns(3));
   EXPECT_EQ(e.payload, 2);
   EXPECT_EQ(q.pop().payload, 3);
   EXPECT_EQ(q.pop().payload, 1);
   EXPECT_EQ(q.peek(), nullptr);
+}
+
+/// Move-only payload that counts live instances: a moved-from Tracked owns
+/// nothing, so `live` counts exactly the payloads the queue (or the test)
+/// still holds, and `destroyed[id]` catches a double destruction.
+struct Tracked {
+  struct Counters {
+    int live = 0;
+    std::vector<int> destroyed;
+  };
+  Tracked(Counters& c, int id) : c_(&c), id_(id) { ++c_->live; }
+  Tracked(Tracked&& o) noexcept : c_(std::exchange(o.c_, nullptr)), id_(o.id_) {}
+  Tracked& operator=(Tracked&& o) noexcept {
+    release();
+    c_ = std::exchange(o.c_, nullptr);
+    id_ = o.id_;
+    return *this;
+  }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { release(); }
+  int id() const { return id_; }
+
+ private:
+  void release() {
+    if (c_ == nullptr) return;
+    --c_->live;
+    ++c_->destroyed[static_cast<std::size_t>(id_)];
+    c_ = nullptr;
+  }
+  Counters* c_;
+  int id_;
+};
+
+TEST(EventQueue, SlotReuseKeepsOrderAndDestroysPayloads) {
+  constexpr int kPushes = 20000;
+  constexpr int kLeftPending = 100;
+  Tracked::Counters counters;
+  counters.destroyed.assign(kPushes + kLeftPending, 0);
+  {
+    EventQueue<Tracked> q;
+    // Oracle: (when, seq, id) of every pending entry, kept sorted on demand.
+    std::vector<std::tuple<TimePs, std::uint64_t, int>> pending;
+    Rng rng(0x5107);
+    int pushed = 0;
+    TimePs now = 0;
+    std::size_t pops = 0;
+    while (pushed < kPushes || !pending.empty()) {
+      // Bursts of pushes and pops so the free list fills and drains repeatedly.
+      const bool push = pushed < kPushes && (pending.empty() || rng.next_below(8) < 4);
+      if (push) {
+        const TimePs when = now + rng.next_below(4) * ns(1);  // heavy ties
+        const std::uint64_t seq = q.push(when, Tracked(counters, pushed));
+        pending.emplace_back(when, seq, pushed);
+        ++pushed;
+      } else {
+        const auto first = std::min_element(pending.begin(), pending.end());
+        const auto [when, seq, id] = *first;
+        pending.erase(first);
+        auto e = q.pop();
+        ASSERT_EQ(e.when, when) << "pop " << pops;
+        ASSERT_EQ(e.seq, seq) << "pop " << pops;
+        ASSERT_EQ(e.payload.id(), id) << "payload of seq " << seq << " swapped";
+        now = e.when;
+        ++pops;
+      }
+      ASSERT_EQ(q.size(), pending.size());
+      ASSERT_EQ(counters.live, static_cast<int>(pending.size())) << "after " << pushed << " pushes";
+    }
+    EXPECT_EQ(pops, static_cast<std::size_t>(kPushes));
+    // Leave some payloads pending: the queue's destructor must free them.
+    for (int id = kPushes; id < kPushes + kLeftPending; ++id) {
+      q.push(now + static_cast<TimePs>(id), Tracked(counters, id));
+    }
+    EXPECT_EQ(counters.live, kLeftPending);
+  }
+  EXPECT_EQ(counters.live, 0);
+  for (int id = 0; id < kPushes + kLeftPending; ++id) {
+    ASSERT_EQ(counters.destroyed[static_cast<std::size_t>(id)], 1) << "id " << id;
+  }
 }
 
 }  // namespace

@@ -72,9 +72,6 @@ TEST(SpanTracer, HandlerSpanExportParsesAsStrictJson) {
 }
 
 TEST(SpanTracer, DeviceRecordsEveryHandler) {
-  if constexpr (!obs::kObsEnabled) {
-    GTEST_SKIP() << "span hooks compiled out (NADFS_OBS=OFF)";
-  }
   Cluster cluster;
   Client client(cluster, 0);
   obs::SpanTracer tracer;
@@ -166,9 +163,6 @@ TEST(SpanTracer, WholeSystemWriteCorrelatesAcrossLayers) {
   // One replicated write, tracer attached cluster-wide: the client op span
   // and every NIC/network/HPU/ack span it caused share the op's greq as
   // their correlation id — the whole Fig. 2 path is one query away.
-  if constexpr (!obs::kObsEnabled) {
-    GTEST_SKIP() << "span hooks compiled out (NADFS_OBS=OFF)";
-  }
   ClusterConfig cfg;
   cfg.storage_nodes = 3;
   Cluster cluster(cfg);
