@@ -19,11 +19,8 @@
 // the bench re-reads it with the strict obs JSON parser — a malformed
 // report fails the run, not the consumer.
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "bench/harness.hpp"
-#include "obs/json.hpp"
 #include "services/rebalancer.hpp"
 #include "workload/workload.hpp"
 
@@ -260,44 +257,6 @@ RollingPoint run_rolling(bool smoke) {
   return p;
 }
 
-// ----------------------------------------------------------- reporting
-
-bool validate_report(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "FAIL: cannot reopen %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::string err;
-  const auto doc = obs::json_parse(ss.str(), &err);
-  if (!doc) {
-    std::fprintf(stderr, "FAIL: %s is not valid JSON: %s\n", path.c_str(), err.c_str());
-    return false;
-  }
-  const auto* rows = doc->find("rows");
-  if (!rows || rows->kind != obs::JsonValue::Kind::kArray || rows->arr.empty()) {
-    std::fprintf(stderr, "FAIL: %s has no rows\n", path.c_str());
-    return false;
-  }
-  std::size_t rejoin = 0, rebalance = 0, rolling = 0;
-  for (const auto& row : rows->arr) {
-    if (row.kind != obs::JsonValue::Kind::kString) continue;
-    if (row.str.rfind("elasticity_rejoin,", 0) == 0) ++rejoin;
-    if (row.str.rfind("elasticity_rebalance,", 0) == 0) ++rebalance;
-    if (row.str.rfind("elasticity_rolling,", 0) == 0) ++rolling;
-  }
-  if (rejoin == 0 || rebalance == 0 || rolling == 0) {
-    std::fprintf(stderr, "FAIL: %s missing row families (rejoin=%zu rebalance=%zu rolling=%zu)\n",
-                 path.c_str(), rejoin, rebalance, rolling);
-    return false;
-  }
-  std::printf("validated %s: %zu rows (%zu rejoin, %zu rebalance, %zu rolling)\n", path.c_str(),
-              rows->arr.size(), rejoin, rebalance, rolling);
-  return true;
-}
-
 }  // namespace
 
 int main() {
@@ -385,6 +344,10 @@ int main() {
   }
 
   report.finish(runner.threads(), total_points);
-  if (!validate_report("BENCH_elasticity.json")) return 1;
+  if (!report.validate({{"elasticity_rejoin,", "rejoin", 1},
+                        {"elasticity_rebalance,", "rebalance", 1},
+                        {"elasticity_rolling,", "rolling", 1}})) {
+    return 1;
+  }
   return 0;
 }

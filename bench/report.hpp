@@ -10,14 +10,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace nadfs::bench {
@@ -165,6 +168,64 @@ class SweepReport {
     std::fprintf(f, "%s}\n}\n", totals.empty() ? "" : "\n  ");
     std::fclose(f);
     std::printf("JSON: %s\n", path.c_str());
+  }
+
+  /// Rows whose CSV line starts with `prefix` ("<label>" in messages);
+  /// validate() requires at least `min` of them.
+  struct RowFamily {
+    const char* prefix;
+    const char* label;
+    std::size_t min;
+  };
+
+  /// Self-check after finish(): re-reads BENCH_<name>.json through the
+  /// strict obs JSON parser and requires a nonempty "rows" array holding
+  /// at least `min` rows of every family. Prints a "validated" line and
+  /// returns true, or explains the failure on stderr and returns false.
+  bool validate(const std::vector<RowFamily>& families) const {
+    const std::string path = "BENCH_" + name_ + ".json";
+    std::ifstream in(path);
+    if (!in) {
+      std::fprintf(stderr, "FAIL: cannot reopen %s\n", path.c_str());
+      return false;
+    }
+    std::stringstream text;
+    text << in.rdbuf();
+    std::string err;
+    const auto doc = obs::json_parse(text.str(), &err);
+    if (!doc) {
+      std::fprintf(stderr, "FAIL: %s is not valid JSON: %s\n", path.c_str(), err.c_str());
+      return false;
+    }
+    const auto* rows = doc->find("rows");
+    if (!rows || rows->kind != obs::JsonValue::Kind::kArray || rows->arr.empty()) {
+      std::fprintf(stderr, "FAIL: %s has no rows\n", path.c_str());
+      return false;
+    }
+    bool ok = true;
+    std::string counts;
+    for (const auto& family : families) {
+      const auto n = static_cast<std::size_t>(
+          std::count_if(rows->arr.begin(), rows->arr.end(), [&](const obs::JsonValue& row) {
+            return row.kind == obs::JsonValue::Kind::kString &&
+                   row.str.rfind(family.prefix, 0) == 0;
+          }));
+      if (n < family.min) {
+        std::fprintf(stderr, "FAIL: %s has %zu %s rows, expected >= %zu\n", path.c_str(), n,
+                     family.label, family.min);
+        ok = false;
+      }
+      counts += (counts.empty() ? "" : ", ") + std::to_string(n) + " " + family.label;
+    }
+    if (!ok) return false;
+    if (families.size() == 1) {
+      std::printf("validated %s: %zu rows, %s rows\n", path.c_str(), rows->arr.size(),
+                  counts.c_str());
+    } else {
+      std::printf("validated %s: %zu rows (%s)\n", path.c_str(), rows->arr.size(),
+                  counts.c_str());
+    }
+    return true;
   }
 
  private:

@@ -24,11 +24,8 @@
 // writing BENCH_storage_engine.json the bench re-reads and validates it
 // with the strict obs JSON parser.
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "bench/harness.hpp"
-#include "obs/json.hpp"
 #include "services/host_dfs.hpp"
 #include "storage/engine/engine.hpp"
 #include "workload/workload.hpp"
@@ -168,41 +165,6 @@ std::size_t knee_index(const std::vector<Point>& pts) {
   return knee;
 }
 
-bool validate_report(const std::string& path, std::size_t expect_knees) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "FAIL: cannot reopen %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::string err;
-  const auto doc = obs::json_parse(ss.str(), &err);
-  if (!doc) {
-    std::fprintf(stderr, "FAIL: %s is not valid JSON: %s\n", path.c_str(), err.c_str());
-    return false;
-  }
-  const auto* rows = doc->find("rows");
-  if (!rows || rows->kind != obs::JsonValue::Kind::kArray || rows->arr.empty()) {
-    std::fprintf(stderr, "FAIL: %s has no rows\n", path.c_str());
-    return false;
-  }
-  std::size_t knees = 0;
-  for (const auto& row : rows->arr) {
-    if (row.kind == obs::JsonValue::Kind::kString &&
-        row.str.rfind("storage_engine_knee,", 0) == 0) {
-      ++knees;
-    }
-  }
-  if (knees < expect_knees) {
-    std::fprintf(stderr, "FAIL: %s has %zu knee rows, expected >= %zu\n", path.c_str(), knees,
-                 expect_knees);
-    return false;
-  }
-  std::printf("validated %s: %zu rows, %zu knee rows\n", path.c_str(), rows->arr.size(), knees);
-  return true;
-}
-
 }  // namespace
 
 int main() {
@@ -253,7 +215,7 @@ int main() {
   }
 
   report.finish(runner.threads(), total_points);
-  if (!validate_report("BENCH_storage_engine.json", 6)) return 1;
+  if (!report.validate({{"storage_engine_knee,", "knee", 6}})) return 1;
 
   // --- knee attribution checks -------------------------------------------
   // (1) Non-degenerate: the betree backend must actually saturate inside

@@ -71,15 +71,17 @@ for seed in 1 7; do
 done
 
 # Op-surface compliance + model-checked suites under both chaos seeds: the
-# typed-error contract (create/delete/stat/append/list + extent primitives)
-# and the randomized oracle runs are the gate for the DFS op surface; the
-# chaos loop above already covers the kill-mid-append and delete-during-
-# rebuild scenarios under both seeds. The focused rerun here means a
-# discovery hiccup can never silently skip the compliance suites.
+# typed-error contract (create/delete/stat/append/list + extent primitives),
+# striped ops (zero-length ops must answer too), the fan-in join every
+# fanned-out op completes through, and the randomized oracle runs are the
+# gate for the DFS op surface; the chaos loop above already covers the
+# kill-mid-append and delete-during-rebuild scenarios under both seeds. The
+# focused rerun here means a discovery hiccup can never silently skip the
+# compliance suites.
 for seed in 1 7; do
   echo "== op-surface compliance + model suites under NADFS_CHAOS_SEED=$seed"
   NADFS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
-    -R 'DfsOps|DfsModel|WorkloadEngine|Zipf'
+    -R 'DfsOps|DfsModel|WorkloadEngine|Zipf|Striping|OpJoin'
 done
 
 # Elasticity gates (DESIGN.md §3g): restart/rejoin, planned drain, and the

@@ -278,10 +278,6 @@ void Network::mutate_faults(std::function<void(FaultPlan&)> fn) {
   sim_.schedule(config_.link_latency, [this, fn = std::move(fn)]() mutable { fn(faults()); });
 }
 
-TimePs Network::uplink_free_at(NodeId node) const {
-  return nodes_.at(node).uplink->horizon();
-}
-
 std::uint64_t Network::delivered_payload_bytes(NodeId node) const {
   return nodes_.at(node).delivered_payload;
 }

@@ -84,13 +84,8 @@ class Network {
   /// at this layer (rejoining placement is the failure detector's job).
   sim::Window inject(Packet pkt, TimePs earliest = 0);
 
-  /// Earliest time node's uplink could accept a new packet.
-  TimePs uplink_free_at(NodeId node) const;
-
   /// Total payload bytes delivered to `node` so far (goodput accounting).
   std::uint64_t delivered_payload_bytes(NodeId node) const;
-
-  std::size_t node_count() const { return nodes_.size(); }
 
   /// Per-switch hop counters (valid for 0 <= sw < topology().switch_count()).
   const HopCounters& hop_counters(SwitchId sw) const { return hops_.at(sw); }

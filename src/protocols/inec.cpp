@@ -121,31 +121,17 @@ void InecTriEc::write(Client& client, const FileLayout& layout, const auth::Capa
     registries_.at(layout.parity[p].node)->parity_ops[token] = op;
   }
 
-  // Completion: every parity node acked AND every data chunk transport-acked.
-  struct Latch {
-    unsigned remaining;
-    TimePs last = 0;
-    OpCb cb;
-    dfs::DfsError err = dfs::DfsError::kOk;  // first failure wins
-  };
-  // k transport acks (one per data chunk) + one tracker completion
-  // (fires after all m parity acks).
-  auto latch = std::make_shared<Latch>();
-  latch->remaining = k + 1;
-  latch->cb = std::move(cb);
-  auto arrive = [latch](dfs::DfsError err, TimePs at) {
-    latch->last = std::max(latch->last, at);
-    if (latch->err == dfs::DfsError::kOk) latch->err = err;
-    if (--latch->remaining == 0) latch->cb(latch->err, latch->last);
-  };
-  client.tracker().expect(greq, m, arrive);
+  // Completion joins k transport acks (one per data chunk) and one tracker
+  // completion, which fires after all m parity acks.
+  const OpCb done = services::join(k + 1, std::move(cb));
+  client.tracker().expect(greq, m, done);
 
   for (unsigned d = 0; d < k; ++d) {
     Bytes chunk(data.begin() + static_cast<std::ptrdiff_t>(d * chunk_len),
                 data.begin() + static_cast<std::ptrdiff_t>((d + 1) * chunk_len));
     client.node().nic().post_write(layout.targets[d].node, layout.targets[d].addr, 0,
                                    std::move(chunk),
-                                   [arrive](TimePs at) { arrive(dfs::DfsError::kOk, at); },
+                                   [done](TimePs at) { done(dfs::DfsError::kOk, at); },
                                    (token << 16) | d);
   }
 }

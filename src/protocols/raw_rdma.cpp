@@ -1,7 +1,5 @@
 #include "protocols/raw_rdma.hpp"
 
-#include <memory>
-
 namespace nadfs::protocols {
 
 namespace {
@@ -31,23 +29,10 @@ RdmaFlat::RdmaFlat(Cluster& cluster) : cluster_(cluster), rkeys_(register_all(cl
 void RdmaFlat::write(Client& client, const FileLayout& layout, const auth::Capability& cap,
                      Bytes data, OpCb cb) {
   (void)cap;  // RDMA-Flat fully trusts clients (paper §V-B)
-  struct Latch {
-    unsigned remaining;
-    TimePs last = 0;
-    OpCb cb;
-  };
-  auto latch = std::make_shared<Latch>();
-  latch->remaining = static_cast<unsigned>(layout.targets.size());
-  latch->cb = std::move(cb);
-
+  const OpCb done = services::join(static_cast<unsigned>(layout.targets.size()), std::move(cb));
   for (const auto& target : layout.targets) {
     client.node().nic().post_write(target.node, target.addr, rkeys_.at(target.node), data,
-                                   [latch](TimePs at) {
-                                     latch->last = std::max(latch->last, at);
-                                     if (--latch->remaining == 0) {
-                                       latch->cb(dfs::DfsError::kOk, latch->last);
-                                     }
-                                   });
+                                   [done](TimePs at) { done(dfs::DfsError::kOk, at); });
   }
 }
 

@@ -71,8 +71,7 @@ void PsPinDevice::note_egress_slot(TimePs issue, TimePs end) {
   egress_slots_.push_back(EgressSlot{issue, end});
 }
 
-TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, unsigned cluster, TimePs start) {
-  (void)cluster;
+TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start) {
   TimePs cursor = start;
   std::uint64_t charged = 0;
   for (auto& cmd : ctx.commands()) {
@@ -153,7 +152,7 @@ TimePs PsPinDevice::run_handler(spin::HandlerType type, const spin::Handler& han
       [this](std::uint64_t addr, std::uint64_t len) { return nic_->storage_trimmed(addr, len); });
   handler(ctx, pkt);
 
-  const TimePs end = replay(ctx, msg, msg.cluster, start);
+  const TimePs end = replay(ctx, msg, start);
   *it = end;
   stats_.record(type, end - start, ctx.instr());
   last_handler_end_ = std::max(last_handler_end_, end);
@@ -265,7 +264,7 @@ void PsPinDevice::run_cleanup(const spin::MessageKey& key) {
 
   spin::HandlerCtx ctx(nic_->node_id(), start, msg.flow_slot);
   ctx_->cleanup_handler(ctx, key);
-  const TimePs end = replay(ctx, msg, msg.cluster, start);
+  const TimePs end = replay(ctx, msg, start);
   if (span_trace_) {
     span_trace_->record({nic_->node_id(),
                          msg.cluster * 1000 +

@@ -153,7 +153,6 @@ class PsPinDevice {
     TimePs dma_durable_max = 0;   ///< storage fence horizon
     TimePs last_activity = 0;
     bool ch_issued = false;
-    bool reaped = false;
     std::optional<net::Packet> completion_pkt;  ///< held until all PHs done
     TimePs completion_ready = 0;
   };
@@ -163,9 +162,9 @@ class PsPinDevice {
   TimePs run_handler(spin::HandlerType type, const spin::Handler& handler,
                      const net::Packet& pkt, MsgState& msg, TimePs ready);
 
-  /// Replay a recorded context timeline starting at `start` on an HPU of
-  /// `cluster`; returns the end time.
-  TimePs replay(spin::HandlerCtx& ctx, MsgState& msg, unsigned cluster, TimePs start);
+  /// Replay a recorded context timeline starting at `start`; returns the
+  /// end time.
+  TimePs replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start);
 
   TimePs egress_accept(TimePs want);
   void note_egress_slot(TimePs issue, TimePs end);

@@ -22,6 +22,22 @@ bool transient_error(dfs::DfsError err) {
 }
 }  // namespace
 
+OpCb join(unsigned n, OpCb done) {
+  if (n == 0) throw std::invalid_argument("join: zero sub-ops would never complete");
+  struct State {
+    unsigned remaining;
+    dfs::DfsError err = dfs::DfsError::kOk;
+    TimePs last = 0;
+    OpCb done;
+  };
+  auto state = std::make_shared<State>(State{n, dfs::DfsError::kOk, 0, std::move(done)});
+  return [state](dfs::DfsError err, TimePs at) {
+    if (state->err == dfs::DfsError::kOk) state->err = err;
+    state->last = std::max(state->last, at);
+    if (--state->remaining == 0) state->done(state->err, state->last);
+  };
+}
+
 void AckTracker::install(rdma::Nic& nic) {
   nic.set_control_handler([this](const net::Packet& pkt, TimePs at) {
     auto it = ops_.find(pkt.user_tag);
@@ -57,13 +73,8 @@ void AckTracker::install(rdma::Nic& nic) {
 
 void AckTracker::expect(std::uint64_t tag, unsigned acks_needed, OpCb cb) {
   if (ops_.count(tag) != 0) {
-    throw std::logic_error("AckTracker::expect: tag already pending (use replace())");
+    throw std::logic_error("AckTracker::expect: tag already pending");
   }
-  ops_.emplace(tag, Op{acks_needed, 0, std::move(cb)});
-}
-
-void AckTracker::replace(std::uint64_t tag, unsigned acks_needed, OpCb cb) {
-  if (ops_.erase(tag) != 0) ++replaced_ops_;
   ops_.emplace(tag, Op{acks_needed, 0, std::move(cb)});
 }
 
@@ -90,7 +101,6 @@ Client::Client(Cluster& cluster, std::size_t client_idx)
   reg.counter_cell(metrics_prefix_ + ".op_timeouts", &op_timeouts_);
   reg.counter_cell(metrics_prefix_ + ".late_acks", &tracker_.late_acks_);
   reg.counter_cell(metrics_prefix_ + ".stray_nacks", &tracker_.stray_nacks_);
-  reg.counter_cell(metrics_prefix_ + ".replaced_ops", &tracker_.replaced_ops_);
   reg.gauge(metrics_prefix_ + ".pending_ops",
             [this] { return static_cast<long long>(tracker_.pending_count()); });
   reg.sketch(metrics_prefix_ + ".write_latency", write_latency_);
@@ -136,23 +146,50 @@ void Client::write_at(const FileLayout& layout, const auth::Capability& cap,
     striped_write(layout, cap, offset, std::move(data), std::move(cb));
     return;
   }
-  start_write(layout, cap, offset, std::move(data), std::move(cb), max_retries_);
+  const dfs::Coord& primary = layout.targets.front();
+  if (layout.policy.resiliency == dfs::Resiliency::kNone) {
+    write_extent({primary.node, primary.addr + offset}, cap, std::move(data), std::move(cb));
+    return;
+  }
+  dfs::WriteRequestHeader wrh;
+  wrh.dest_addr = primary.addr + offset;
+  wrh.total_len = data.size();
+  wrh.resiliency = layout.policy.resiliency;
+  std::vector<WriteTrain> trains;
+  if (layout.policy.resiliency == dfs::Resiliency::kReplication) {
+    // One train to the primary (virtual rank 0); the NICs fan it out.
+    wrh.strategy = layout.policy.strategy;
+    wrh.replicas = layout.targets;
+    for (auto& coord : wrh.replicas) coord.addr += offset;
+    trains.push_back({primary.node, std::move(wrh)});
+  } else {
+    // One train per data node over k equal, zero-padded chunks.
+    const unsigned k = layout.policy.ec_k;
+    const auto chunk_len = static_cast<std::size_t>(layout.chunk_len);
+    data.resize(chunk_len * k, 0);
+    wrh.total_len = chunk_len;
+    wrh.ec_k = layout.policy.ec_k;
+    wrh.ec_m = layout.policy.ec_m;
+    wrh.parity_nodes = layout.parity;
+    trains.reserve(k);
+    for (unsigned i = 0; i < k; ++i) {
+      wrh.dest_addr = layout.targets[i].addr;
+      wrh.data_idx = static_cast<std::uint8_t>(i);
+      trains.push_back({layout.targets[i].node, wrh, i * chunk_len});
+    }
+  }
+  start_attempt(acks_for(layout), post_write(cap, std::move(trains), std::move(data)),
+                std::move(cb), max_retries_);
 }
 
 void Client::striped_write(const FileLayout& layout, const auth::Capability& cap,
                            std::uint64_t offset, Bytes data, OpCb cb) {
   // RAID-0 style: each overlapped stripe unit becomes one plain DFS write
-  // against its stripe's extent; the op completes when every unit acked,
-  // failing with the first unit error seen.
-  struct Latch {
-    unsigned remaining = 0;
-    dfs::DfsError err = dfs::DfsError::kOk;
-    TimePs last = 0;
-    OpCb cb;
-  };
-  auto latch = std::make_shared<Latch>();
-  latch->cb = std::move(cb);
-
+  // against its stripe's extent, joined.
+  if (data.empty()) {
+    cb(dfs::DfsError::kOk, cluster_.sim().now());  // no unit to write
+    return;
+  }
   const std::uint64_t ss = layout.policy.stripe_size;
   std::vector<std::tuple<dfs::Coord, Bytes>> units;
   std::uint64_t pos = offset;
@@ -169,29 +206,16 @@ void Client::striped_write(const FileLayout& layout, const auth::Capability& cap
     pos += n;
     consumed += n;
   }
-  latch->remaining = static_cast<unsigned>(units.size());
-  for (auto& [target, bytes] : units) {
-    write_extent(target, cap, std::move(bytes), [latch](dfs::DfsError err, TimePs at) {
-      if (latch->err == dfs::DfsError::kOk) latch->err = err;
-      latch->last = std::max(latch->last, at);
-      if (--latch->remaining == 0) latch->cb(latch->err, latch->last);
-    });
-  }
+  const OpCb done = join(static_cast<unsigned>(units.size()), std::move(cb));
+  for (auto& [target, bytes] : units) write_extent(target, cap, std::move(bytes), done);
 }
 
 void Client::striped_read(const FileLayout& layout, const auth::Capability& cap,
                           std::uint64_t offset, std::uint32_t len, ReadCb cb) {
-  struct Gather {
-    Bytes data;
-    unsigned remaining = 0;
-    dfs::DfsError err = dfs::DfsError::kOk;
-    TimePs last = 0;
-    ReadCb cb;
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->data.assign(len, 0);
-  gather->cb = std::move(cb);
-
+  if (len == 0) {
+    cb(dfs::DfsError::kBadArg, Bytes{}, cluster_.sim().now());  // as start_read: off the wire
+    return;
+  }
   const std::uint64_t ss = layout.policy.stripe_size;
   struct Unit {
     dfs::Coord target;
@@ -212,49 +236,83 @@ void Client::striped_read(const FileLayout& layout, const auth::Capability& cap,
     pos += n;
     consumed += n;
   }
-  gather->remaining = static_cast<unsigned>(units.size());
+  // The join decides the outcome; the units only assemble the bytes.
+  auto data = std::make_shared<Bytes>(len, 0);
+  const OpCb done = join(static_cast<unsigned>(units.size()),
+                         [data, cb = std::move(cb)](dfs::DfsError err, TimePs at) {
+                           cb(err, err == dfs::DfsError::kOk ? std::move(*data) : Bytes{}, at);
+                         });
   for (const auto& unit : units) {
     read_extent(unit.target, cap, unit.n,
-                [gather, out_off = unit.out_off](dfs::DfsError err, Bytes part, TimePs at) {
-                  if (gather->err == dfs::DfsError::kOk) gather->err = err;
+                [data, done, out_off = unit.out_off](dfs::DfsError err, Bytes part, TimePs at) {
                   std::copy(part.begin(), part.end(),
-                            gather->data.begin() + static_cast<std::ptrdiff_t>(out_off));
-                  gather->last = std::max(gather->last, at);
-                  if (--gather->remaining == 0) {
-                    gather->cb(gather->err,
-                               gather->err == dfs::DfsError::kOk ? std::move(gather->data)
-                                                                 : Bytes{},
-                               gather->last);
-                  }
+                            data->begin() + static_cast<std::ptrdiff_t>(out_off));
+                  done(err, at);
                 });
   }
 }
 
-OpCb Client::make_write_completion(std::uint64_t greq, OpCb cb, unsigned attempts_left,
-                                   std::function<void(unsigned)> reissue) {
-  // A failed attempt is either a NACK (typed error from the storage node,
-  // e.g. request table full — paper §III-B.2) or a deadline expiry
-  // (arm_write_deadline fails the op with kTimeout). Transient errors back
-  // off and reissue, booked under the matching retry counter; permanent
-  // errors (kNotFound, kBadArg, ...) surface immediately.
-  const TimePs issued = cluster_.sim().now();
-  return [this, greq, issued, cb = std::move(cb), attempts_left,
-          reissue = std::move(reissue)](dfs::DfsError err, TimePs at) mutable {
-    const bool ok = err == dfs::DfsError::kOk;
-    note_op("write", "write_failed", ok, greq, issued, at, write_latency_);
-    if (ok || attempts_left == 0 || !transient_error(err)) {
-      cb(err, at);
+dfs::DfsHeader Client::header(dfs::OpType op, std::uint64_t greq,
+                              const auth::Capability& cap) const {
+  dfs::DfsHeader hdr;
+  hdr.op = op;
+  hdr.greq_id = greq;
+  hdr.client_node = node_.id();
+  hdr.cap = cap;
+  return hdr;
+}
+
+Client::PostFn Client::post_write(const auth::Capability& cap, std::vector<WriteTrain> trains,
+                                  Bytes data) {
+  return [this, cap, trains = std::move(trains), data = std::move(data)](std::uint64_t greq) {
+    const dfs::DfsHeader hdr = header(dfs::OpType::kWrite, greq, cap);
+    const std::size_t mtu = cluster_.network().mtu();
+    auto build = [&](const WriteTrain& t) {
+      return dfs::build_write_packets(node_.id(), t.dst, mtu, hdr, t.wrh,
+                                      ByteSpan(data.data() + t.data_off, t.wrh.total_len));
+    };
+    if (trains.size() == 1) {
+      node_.nic().post_message(build(trains.front()));
       return;
     }
-    ++(err == dfs::DfsError::kTimeout ? timeout_retries_ : deny_retries_);
-    ++retries_performed_;
-    cluster_.sim().schedule(
-        retry_delay(attempts_left),
-        [attempts_left, reissue = std::move(reissue)] { reissue(attempts_left - 1); });
+    std::vector<std::vector<net::Packet>> per_node;
+    per_node.reserve(trains.size());
+    for (const auto& t : trains) per_node.push_back(build(t));
+    if (ec_interleave_) {
+      node_.nic().post_message(interleave(std::move(per_node)));
+      return;
+    }
+    std::vector<net::Packet> sequential;
+    for (auto& train : per_node) {
+      for (auto& p : train) sequential.push_back(std::move(p));
+    }
+    node_.nic().post_message(std::move(sequential));
   };
 }
 
-void Client::arm_write_deadline(std::uint64_t greq) {
+void Client::start_attempt(unsigned acks, PostFn post, OpCb cb, unsigned attempts_left) {
+  const std::uint64_t greq = next_greq();
+  const TimePs issued = cluster_.sim().now();
+  std::function<void(unsigned)> reissue;
+  if (attempts_left > 0) {
+    // The reissue closure owns a copy of the post step (and so of the
+    // payload); with retries off nothing is copied.
+    reissue = [this, acks, post, cb](unsigned attempts) mutable {
+      start_attempt(acks, std::move(post), std::move(cb), attempts);
+    };
+  }
+  tracker_.expect(greq, acks,
+                  [this, greq, issued, cb = std::move(cb), attempts_left,
+                   reissue = std::move(reissue)](dfs::DfsError err, TimePs at) mutable {
+                    note_op("write", "write_failed", err == dfs::DfsError::kOk, greq, issued, at,
+                            write_latency_);
+                    if (!retry(err, attempts_left, std::move(reissue))) cb(err, at);
+                  });
+  arm_deadline(greq);
+  post(greq);
+}
+
+void Client::arm_deadline(std::uint64_t greq) {
   if (timeout_ == 0) return;
   cluster_.sim().schedule(timeout_, [this, greq] {
     if (auto cb = tracker_.take(greq)) {
@@ -266,6 +324,22 @@ void Client::arm_write_deadline(std::uint64_t greq) {
   });
 }
 
+bool Client::retry(dfs::DfsError err, unsigned attempts_left,
+                   std::function<void(unsigned)> reissue) {
+  // A failed attempt is either a NACK (typed error from the storage node,
+  // e.g. request table full — paper §III-B.2) or a deadline expiry
+  // (kTimeout). Transient errors back off and reissue, booked under the
+  // matching retry counter; permanent errors (kNotFound, kBadArg, ...)
+  // surface immediately.
+  if (err == dfs::DfsError::kOk || attempts_left == 0 || !transient_error(err)) return false;
+  ++(err == dfs::DfsError::kTimeout ? timeout_retries_ : deny_retries_);
+  ++retries_performed_;
+  cluster_.sim().schedule(
+      retry_delay(attempts_left),
+      [attempts_left, reissue = std::move(reissue)] { reissue(attempts_left - 1); });
+  return true;
+}
+
 TimePs Client::retry_delay(unsigned attempts_left) const {
   // attempts_left counts down from max_retries_, so retry n (n = 0 for the
   // first) sees attempts_left == max_retries_ - n and waits
@@ -275,111 +349,6 @@ TimePs Client::retry_delay(unsigned attempts_left) const {
   TimePs delay = retry_backoff_;
   for (unsigned i = 0; i < n && delay < cap; ++i) delay *= 2;
   return std::min(delay, cap);
-}
-
-void Client::start_write(const FileLayout& layout, const auth::Capability& cap,
-                         std::uint64_t offset, Bytes data, OpCb cb, unsigned attempts_left) {
-  const std::uint64_t greq = next_greq();
-  std::function<void(unsigned)> reissue;
-  if (attempts_left > 0) {
-    // The reissue closure owns a copy of the payload; a retry is a fresh
-    // attempt under a fresh greq against the same layout.
-    reissue = [this, layout, cap, offset, data, cb](unsigned attempts) mutable {
-      start_write(layout, cap, offset, std::move(data), std::move(cb), attempts);
-    };
-  }
-  tracker_.expect(greq, acks_for(layout),
-                  make_write_completion(greq, std::move(cb), attempts_left, std::move(reissue)));
-  arm_write_deadline(greq);
-  switch (layout.policy.resiliency) {
-    case dfs::Resiliency::kNone:
-      write_plain(layout, cap, offset, std::move(data), greq);
-      break;
-    case dfs::Resiliency::kReplication:
-      write_replicated(layout, cap, offset, std::move(data), greq);
-      break;
-    case dfs::Resiliency::kErasureCoding:
-      write_erasure_coded(layout, cap, std::move(data), greq);
-      break;
-  }
-}
-
-void Client::write_plain(const FileLayout& layout, const auth::Capability& cap,
-                         std::uint64_t offset, Bytes data, std::uint64_t greq) {
-  dfs::DfsHeader hdr;
-  hdr.op = dfs::OpType::kWrite;
-  hdr.greq_id = greq;
-  hdr.client_node = node_.id();
-  hdr.cap = cap;
-
-  dfs::WriteRequestHeader wrh;
-  wrh.dest_addr = layout.targets.front().addr + offset;
-  wrh.total_len = data.size();
-  wrh.resiliency = dfs::Resiliency::kNone;
-
-  node_.nic().post_message(dfs::build_write_packets(
-      node_.id(), layout.targets.front().node, cluster_.network().mtu(), hdr, wrh, data));
-}
-
-void Client::write_replicated(const FileLayout& layout, const auth::Capability& cap,
-                              std::uint64_t offset, Bytes data, std::uint64_t greq) {
-  dfs::DfsHeader hdr;
-  hdr.op = dfs::OpType::kWrite;
-  hdr.greq_id = greq;
-  hdr.client_node = node_.id();
-  hdr.cap = cap;
-
-  dfs::WriteRequestHeader wrh;
-  wrh.dest_addr = layout.targets.front().addr + offset;
-  wrh.total_len = data.size();
-  wrh.resiliency = dfs::Resiliency::kReplication;
-  wrh.strategy = layout.policy.strategy;
-  wrh.virtual_rank = 0;
-  wrh.replicas = layout.targets;
-  for (auto& coord : wrh.replicas) coord.addr += offset;
-
-  node_.nic().post_message(dfs::build_write_packets(
-      node_.id(), layout.targets.front().node, cluster_.network().mtu(), hdr, wrh, data));
-}
-
-void Client::write_erasure_coded(const FileLayout& layout, const auth::Capability& cap,
-                                 Bytes data, std::uint64_t greq) {
-  const unsigned k = layout.policy.ec_k;
-  const auto chunk_len = static_cast<std::size_t>(layout.chunk_len);
-  data.resize(chunk_len * k, 0);  // zero-pad to k equal chunks
-
-  std::vector<std::vector<net::Packet>> trains;
-  trains.reserve(k);
-  for (unsigned i = 0; i < k; ++i) {
-    dfs::DfsHeader hdr;
-    hdr.op = dfs::OpType::kWrite;
-    hdr.greq_id = greq;
-    hdr.client_node = node_.id();
-    hdr.cap = cap;
-
-    dfs::WriteRequestHeader wrh;
-    wrh.dest_addr = layout.targets[i].addr;
-    wrh.total_len = chunk_len;
-    wrh.resiliency = dfs::Resiliency::kErasureCoding;
-    wrh.ec_k = layout.policy.ec_k;
-    wrh.ec_m = layout.policy.ec_m;
-    wrh.role = dfs::EcRole::kData;
-    wrh.data_idx = static_cast<std::uint8_t>(i);
-    wrh.parity_nodes = layout.parity;
-
-    const ByteSpan chunk(data.data() + static_cast<std::size_t>(i) * chunk_len, chunk_len);
-    trains.push_back(dfs::build_write_packets(node_.id(), layout.targets[i].node,
-                                              cluster_.network().mtu(), hdr, wrh, chunk));
-  }
-  if (ec_interleave_) {
-    node_.nic().post_message(interleave(std::move(trains)));
-  } else {
-    std::vector<net::Packet> sequential;
-    for (auto& t : trains) {
-      for (auto& p : t) sequential.push_back(std::move(p));
-    }
-    node_.nic().post_message(std::move(sequential));
-  }
 }
 
 void Client::read(const FileLayout& layout, const auth::Capability& cap, std::uint32_t len,
@@ -413,51 +382,22 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
   }
   const std::uint64_t greq = next_greq();
   const TimePs issued = cluster_.sim().now();
-  // Three completion paths share the callback: response data, a typed NACK
-  // (fail-fast), and the deadline. Exactly one fires; the others are
-  // cancelled when it does.
+  // Two completion paths share the callback: the NIC's read response, and
+  // the tracker entry, which a typed NACK (fail-fast) or the deadline
+  // fails. Exactly one fires; it cancels the other.
   auto shared_cb = std::make_shared<ReadCb>(std::move(cb));
-  if (timeout_ != 0) {
-    // Deadline: if the NIC still holds the pending read, cancel it (any
-    // straggler response packets then count as late) and retry under a
-    // fresh greq, or give up with kTimeout.
-    cluster_.sim().schedule(timeout_, [this, coord, cap, len, shared_cb, attempts_left,
-                                       greq, issued]() mutable {
-      if (!node_.nic().cancel_read(greq)) return;  // answered or NACKed in time
-      tracker_.cancel(greq);
-      note_op("read", "read_failed", false, greq, issued, cluster_.sim().now(), read_latency_);
-      ++op_timeouts_;
-      if (attempts_left == 0) {
-        (*shared_cb)(dfs::DfsError::kTimeout, Bytes{}, cluster_.sim().now());
-        return;
-      }
-      ++timeout_retries_;
-      ++retries_performed_;
-      cluster_.sim().schedule(
-          retry_delay(attempts_left), [this, coord, cap, len, shared_cb, attempts_left]() {
-            start_read(coord, cap, len, std::move(*shared_cb), attempts_left - 1);
-          });
-    });
-  }
-  // NACK fail-fast: a denied or not-found read is answered with a typed
-  // control packet instead of silence, so the client need not ride out the
-  // deadline. The huge acks_needed keeps stray ACKs from completing it.
+  arm_deadline(greq);
+  // The huge acks_needed keeps stray ACKs from completing the entry.
   tracker_.expect(
       greq, std::numeric_limits<unsigned>::max(),
       [this, coord, cap, len, shared_cb, attempts_left, greq, issued](dfs::DfsError err,
-                                                                       TimePs at) mutable {
+                                                                       TimePs at) {
         node_.nic().cancel_read(greq);
         note_op("read", "read_failed", false, greq, issued, at, read_latency_);
-        if (attempts_left == 0 || !transient_error(err)) {
-          (*shared_cb)(err, Bytes{}, at);
-          return;
-        }
-        ++deny_retries_;
-        ++retries_performed_;
-        cluster_.sim().schedule(
-            retry_delay(attempts_left), [this, coord, cap, len, shared_cb, attempts_left]() {
-              start_read(coord, cap, len, std::move(*shared_cb), attempts_left - 1);
-            });
+        auto reissue = [this, coord, cap, len, shared_cb](unsigned attempts) {
+          start_read(coord, cap, len, std::move(*shared_cb), attempts);
+        };
+        if (!retry(err, attempts_left, std::move(reissue))) (*shared_cb)(err, Bytes{}, at);
       });
   node_.nic().expect_read_response(
       greq, len, [this, greq, issued, shared_cb](Bytes data, TimePs at) {
@@ -465,79 +405,45 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
         note_op("read", "read_failed", true, greq, issued, at, read_latency_);
         (*shared_cb)(dfs::DfsError::kOk, std::move(data), at);
       });
-  dfs::DfsHeader hdr;
-  hdr.op = dfs::OpType::kRead;
-  hdr.greq_id = greq;
-  hdr.client_node = node_.id();
-  hdr.cap = cap;
   dfs::ReadRequestHeader rrh;
   rrh.src_addr = coord.addr;
   rrh.len = len;
-  node_.nic().post_message(dfs::build_read_packets(node_.id(), coord.node, hdr, rrh));
+  node_.nic().post_message(
+      dfs::build_read_packets(node_.id(), coord.node, header(dfs::OpType::kRead, greq, cap), rrh));
 }
 
 void Client::write_extent(const dfs::Coord& coord, const auth::Capability& cap, Bytes data,
                           OpCb cb) {
-  start_extent_write(coord, cap, std::move(data), std::move(cb), max_retries_);
-}
-
-void Client::start_extent_write(const dfs::Coord& coord, const auth::Capability& cap, Bytes data,
-                                OpCb cb, unsigned attempts_left) {
-  const std::uint64_t greq = next_greq();
-  std::function<void(unsigned)> reissue;
-  if (attempts_left > 0) {
-    reissue = [this, coord, cap, data, cb](unsigned attempts) mutable {
-      start_extent_write(coord, cap, std::move(data), std::move(cb), attempts);
-    };
-  }
-  tracker_.expect(greq, 1,
-                  make_write_completion(greq, std::move(cb), attempts_left, std::move(reissue)));
-  arm_write_deadline(greq);
-  dfs::DfsHeader hdr;
-  hdr.op = dfs::OpType::kWrite;
-  hdr.greq_id = greq;
-  hdr.client_node = node_.id();
-  hdr.cap = cap;
   dfs::WriteRequestHeader wrh;
   wrh.dest_addr = coord.addr;
   wrh.total_len = data.size();
-  wrh.resiliency = dfs::Resiliency::kNone;
-  node_.nic().post_message(
-      dfs::build_write_packets(node_.id(), coord.node, cluster_.network().mtu(), hdr, wrh, data));
+  std::vector<WriteTrain> trains;
+  trains.push_back({coord.node, std::move(wrh)});
+  start_attempt(1, post_write(cap, std::move(trains), std::move(data)), std::move(cb),
+                max_retries_);
 }
 
 void Client::trim_extent(const dfs::Coord& coord, const auth::Capability& cap, std::uint64_t len,
                          OpCb cb) {
-  start_extent_op(dfs::OpType::kTrim, coord, cap, len, std::move(cb), max_retries_);
+  start_attempt(1, post_extent_op(dfs::OpType::kTrim, coord, cap, len), std::move(cb),
+                max_retries_);
 }
 
 void Client::stat_extent(const dfs::Coord& coord, const auth::Capability& cap, std::uint64_t len,
                          OpCb cb) {
-  start_extent_op(dfs::OpType::kStat, coord, cap, len, std::move(cb), max_retries_);
+  start_attempt(1, post_extent_op(dfs::OpType::kStat, coord, cap, len), std::move(cb),
+                max_retries_);
 }
 
-void Client::start_extent_op(dfs::OpType op, const dfs::Coord& coord,
-                             const auth::Capability& cap, std::uint64_t len, OpCb cb,
-                             unsigned attempts_left) {
-  const std::uint64_t greq = next_greq();
-  std::function<void(unsigned)> reissue;
-  if (attempts_left > 0) {
-    reissue = [this, op, coord, cap, len, cb](unsigned attempts) mutable {
-      start_extent_op(op, coord, cap, len, std::move(cb), attempts);
-    };
-  }
-  tracker_.expect(greq, 1,
-                  make_write_completion(greq, std::move(cb), attempts_left, std::move(reissue)));
-  arm_write_deadline(greq);
-  dfs::DfsHeader hdr;
-  hdr.op = op;
-  hdr.greq_id = greq;
-  hdr.client_node = node_.id();
-  hdr.cap = cap;
-  dfs::ExtentRequestHeader erh;
-  erh.addr = coord.addr;
-  erh.len = len;
-  node_.nic().post_message(dfs::build_extent_packets(node_.id(), coord.node, hdr, erh));
+Client::PostFn Client::post_extent_op(dfs::OpType op, const dfs::Coord& coord,
+                                      const auth::Capability& cap, std::uint64_t len) {
+  return [this, op, coord, cap, len](std::uint64_t greq) {
+    dfs::ExtentRequestHeader erh;
+    erh.addr = coord.addr;
+    erh.len = len;
+    node_.nic().post_message(
+        dfs::build_extent_packets(node_.id(), coord.node, header(op, greq, cap), erh));
+  };
 }
 
 // ---- name-based operations ------------------------------------------------
@@ -595,26 +501,12 @@ void Client::remove(const std::string& name, const auth::Capability& cap, OpCb c
   std::vector<dfs::Coord> extents = layout->targets;
   extents.insert(extents.end(), layout->parity.begin(), layout->parity.end());
 
-  struct Latch {
-    unsigned remaining = 0;
-    dfs::DfsError err = dfs::DfsError::kOk;
-    TimePs last = 0;
-    OpCb cb;
-  };
-  auto latch = std::make_shared<Latch>();
-  latch->cb = std::move(cb);
-  latch->remaining = static_cast<unsigned>(extents.size());
-  for (const auto& coord : extents) {
-    trim_extent(coord, cap, span, [this, latch, name](dfs::DfsError err, TimePs at) {
-      if (latch->err == dfs::DfsError::kOk) latch->err = err;
-      latch->last = std::max(latch->last, at);
-      if (--latch->remaining != 0) return;
-      if (latch->err == dfs::DfsError::kOk) {
-        cluster_.metadata().remove(name);
-      }
-      latch->cb(latch->err, latch->last);
-    });
-  }
+  const OpCb done = join(static_cast<unsigned>(extents.size()),
+                         [this, name, cb = std::move(cb)](dfs::DfsError err, TimePs at) {
+                           if (err == dfs::DfsError::kOk) cluster_.metadata().remove(name);
+                           cb(err, at);
+                         });
+  for (const auto& coord : extents) trim_extent(coord, cap, span, done);
 }
 
 std::vector<net::Packet> interleave(std::vector<std::vector<net::Packet>> trains) {

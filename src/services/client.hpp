@@ -26,6 +26,13 @@ using OpCb = std::function<void(dfs::DfsError err, TimePs at)>;
 /// Typed read completion: data is meaningful only when err == kOk.
 using ReadCb = std::function<void(dfs::DfsError err, Bytes data, TimePs at)>;
 
+/// Fan-in join, the one completion rule of a fanned-out op: hand the
+/// returned callback to `n` sub-ops. `done` fires once, when the n-th of
+/// them completed, with the first non-kOk error seen (kOk if none) at the
+/// latest sub-op completion time. `n == 0` throws std::invalid_argument:
+/// a join over no sub-ops would never fire.
+OpCb join(unsigned n, OpCb done);
+
 /// Counts DFS-level acks per request tag; a NACK fails the request with the
 /// typed error it carries (wire.hpp DfsError in the control packet's raddr).
 class AckTracker {
@@ -35,13 +42,8 @@ class AckTracker {
 
   /// Register a pending op. Re-expecting a tag that is still pending is a
   /// hard error (std::logic_error): the old op's callback would be silently
-  /// orphaned — exactly the hazard once timeout-retries re-arm tags. Use
-  /// replace() when superseding is intended.
+  /// orphaned — exactly the hazard once timeout-retries re-arm tags.
   void expect(std::uint64_t tag, unsigned acks_needed, OpCb cb);
-
-  /// Like expect(), but an existing pending op for `tag` is dropped (its
-  /// callback never fires) and counted in replaced_ops().
-  void replace(std::uint64_t tag, unsigned acks_needed, OpCb cb);
 
   bool pending(std::uint64_t tag) const { return ops_.count(tag) != 0; }
   std::size_t pending_count() const { return ops_.size(); }
@@ -58,7 +60,6 @@ class AckTracker {
   /// deadlines cancel ops, but no longer invisible.
   std::uint64_t late_acks() const { return late_acks_; }
   std::uint64_t stray_nacks() const { return stray_nacks_; }
-  std::uint64_t replaced_ops() const { return replaced_ops_; }
 
  private:
   struct Op {
@@ -71,7 +72,6 @@ class AckTracker {
   std::unordered_map<std::uint64_t, Op> ops_;
   std::uint64_t late_acks_ = 0;
   std::uint64_t stray_nacks_ = 0;
-  std::uint64_t replaced_ops_ = 0;
 };
 
 class Client {
@@ -108,7 +108,9 @@ class Client {
 
   /// Write at a byte offset within the object (plain and replicated
   /// layouts; EC objects are whole-object writes since parity spans all
-  /// chunks).
+  /// chunks). On a striped layout each overlapped stripe unit is one plain
+  /// write, joined; a zero-length striped write touches no unit and
+  /// completes kOk at once.
   void write_at(const FileLayout& layout, const auth::Capability& cap, std::uint64_t offset,
                 Bytes data, OpCb cb);
 
@@ -178,9 +180,9 @@ class Client {
   }
 
   /// Per-attempt operation deadline; 0 (the default) never times out. On
-  /// expiry the pending op is cancelled — writes via AckTracker::take (a
-  /// straggler ack then counts as late_acks, not a completion), reads via
-  /// Nic::cancel_read — and the op is retried per the retry policy; a
+  /// expiry the pending op is cancelled via AckTracker::take (a straggler
+  /// ack then counts as late_acks, not a completion; a read also drops its
+  /// Nic::cancel_read slot) and the op is retried per the retry policy; a
   /// retry is a fresh attempt under a fresh request id.
   void set_timeout(TimePs timeout) { timeout_ = timeout; }
   TimePs timeout() const { return timeout_; }
@@ -207,26 +209,33 @@ class Client {
   const obs::QuantileSketch& read_latency() const { return read_latency_; }
 
  private:
-  void write_plain(const FileLayout& layout, const auth::Capability& cap, std::uint64_t offset,
-                   Bytes data, std::uint64_t greq);
-  void write_replicated(const FileLayout& layout, const auth::Capability& cap,
-                        std::uint64_t offset, Bytes data, std::uint64_t greq);
-  void write_erasure_coded(const FileLayout& layout, const auth::Capability& cap, Bytes data,
-                           std::uint64_t greq);
-  void start_write(const FileLayout& layout, const auth::Capability& cap, std::uint64_t offset,
-                   Bytes data, OpCb cb, unsigned attempts_left);
-  void start_extent_write(const dfs::Coord& coord, const auth::Capability& cap, Bytes data,
-                          OpCb cb, unsigned attempts_left);
+  /// Posts one attempt's packets under that attempt's greq; every retry
+  /// runs it again under a fresh greq.
+  using PostFn = std::function<void(std::uint64_t greq)>;
+  /// One write packet train: `wrh` addressed to storage node `dst`,
+  /// carrying data[data_off, data_off + wrh.total_len).
+  struct WriteTrain {
+    net::NodeId dst = net::kInvalidNode;
+    dfs::WriteRequestHeader wrh;
+    std::size_t data_off = 0;
+  };
+  dfs::DfsHeader header(dfs::OpType op, std::uint64_t greq, const auth::Capability& cap) const;
+  PostFn post_write(const auth::Capability& cap, std::vector<WriteTrain> trains, Bytes data);
+  /// Single-packet extent op (kTrim / kStat).
+  PostFn post_extent_op(dfs::OpType op, const dfs::Coord& coord, const auth::Capability& cap,
+                        std::uint64_t len);
+  /// The one acked-op attempt (writes, trims, stats): fresh greq, expect
+  /// `acks` DFS acks, arm the deadline, post; a failure goes to retry().
+  void start_attempt(unsigned acks, PostFn post, OpCb cb, unsigned attempts_left);
   void start_read(const dfs::Coord& coord, const auth::Capability& cap, std::uint32_t len,
                   ReadCb cb, unsigned attempts_left);
-  /// Single-packet extent op (kTrim / kStat) with the write retry loop.
-  void start_extent_op(dfs::OpType op, const dfs::Coord& coord, const auth::Capability& cap,
-                       std::uint64_t len, OpCb cb, unsigned attempts_left);
-  /// Wrap a write completion with deny/timeout-retry bookkeeping and arm
-  /// the deadline event for `greq` (no-op with timeouts disabled).
-  OpCb make_write_completion(std::uint64_t greq, OpCb cb, unsigned attempts_left,
-                             std::function<void(unsigned)> reissue);
-  void arm_write_deadline(std::uint64_t greq);
+  /// Deadline for `greq` (no-op with timeouts disabled): a still-pending
+  /// tracker entry is taken and failed with kTimeout.
+  void arm_deadline(std::uint64_t greq);
+  /// The one retry decision: a transient failure with attempts left books
+  /// the retry counters and schedules `reissue(attempts_left - 1)` after
+  /// the backoff. Returns false when the attempt's outcome is final.
+  bool retry(dfs::DfsError err, unsigned attempts_left, std::function<void(unsigned)> reissue);
   TimePs retry_delay(unsigned attempts_left) const;
   void striped_write(const FileLayout& layout, const auth::Capability& cap,
                      std::uint64_t offset, Bytes data, OpCb cb);

@@ -180,12 +180,6 @@ void RecoveryManager::rebuild_now(const std::string& name, const std::set<net::N
         // Re-home every chunk that lived on a failed node.
         FileLayout repaired = layout;
         std::vector<net::NodeId> avoid(failed.begin(), failed.end());
-        struct Progress {
-          unsigned pending = 0;
-          TimePs last = 0;
-          bool ok = true;
-        };
-        auto progress = std::make_shared<Progress>();
         std::vector<std::pair<dfs::Coord, const Bytes*>> writes;
 
         for (unsigned i = 0; i < k + m; ++i) {
@@ -211,32 +205,25 @@ void RecoveryManager::rebuild_now(const std::string& name, const std::set<net::N
           cb(std::move(repaired), at);
           return;
         }
-        progress->pending = static_cast<unsigned>(writes.size());
-        progress->last = at;
         auto repaired_ptr = std::make_shared<FileLayout>(std::move(repaired));
+        const OpCb done = join(
+            static_cast<unsigned>(writes.size()),
+            [this, repaired_ptr, name, cb](dfs::DfsError err, TimePs t) {
+              // A rebuild racing a delete must not resurrect the namespace
+              // entry: when the file vanished meanwhile, update_layout
+              // reports kNotFound and the rebuild fails.
+              if (err == dfs::DfsError::kOk &&
+                  cluster_.metadata().update_layout(name, *repaired_ptr) == dfs::DfsError::kOk) {
+                cb(*repaired_ptr, t);
+              } else {
+                cb(std::nullopt, t);
+              }
+            });
         for (auto& [coord, bytes] : writes) {
           ++chunks_rebuilt_;
           const auto wcap =
               scoped_cap(layout.object_id, auth::Right::kWrite, coord, layout.chunk_len);
-          client_.write_extent(coord, wcap, *bytes,
-                               [this, progress, repaired_ptr, name, cb](dfs::DfsError err,
-                                                                        TimePs t) {
-                                 progress->ok &= err == dfs::DfsError::kOk;
-                                 progress->last = std::max(progress->last, t);
-                                 if (--progress->pending == 0) {
-                                   // A rebuild racing a delete must not
-                                   // resurrect the namespace entry: when the
-                                   // file vanished meanwhile, update_layout
-                                   // reports kNotFound and the rebuild fails.
-                                   if (progress->ok &&
-                                       cluster_.metadata().update_layout(name, *repaired_ptr) ==
-                                           dfs::DfsError::kOk) {
-                                     cb(*repaired_ptr, progress->last);
-                                   } else {
-                                     cb(std::nullopt, progress->last);
-                                   }
-                                 }
-                               });
+          client_.write_extent(coord, wcap, *bytes, done);
         }
       });
 }

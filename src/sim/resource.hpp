@@ -167,45 +167,4 @@ class GapServer {
   std::uint64_t total_time_ = 0;
 };
 
-/// Counting semaphore over simulated time: callers request a credit and are
-/// called back when one is granted. Used for bounded queues (NIC egress
-/// command slots, ingress buffer capacity) whose exhaustion must stall the
-/// producer rather than drop work (lossless fabric assumption, paper §VII).
-class CreditPool {
- public:
-  CreditPool(Simulator& simulator, std::uint32_t credits)
-      : sim_(simulator), available_(credits), capacity_(credits) {}
-
-  /// Invoke `fn` as soon as a credit is available (possibly immediately).
-  void acquire(EventFn fn) {
-    if (available_ > 0 && waiters_.empty()) {
-      --available_;
-      fn();
-    } else {
-      waiters_.push_back(std::move(fn));
-    }
-  }
-
-  void release() {
-    if (!waiters_.empty()) {
-      EventFn fn = std::move(waiters_.front());
-      waiters_.erase(waiters_.begin());
-      // Hand the credit over on the event queue to keep causality clean.
-      sim_.schedule(0, std::move(fn));
-    } else {
-      ++available_;
-    }
-  }
-
-  std::uint32_t available() const { return available_; }
-  std::uint32_t capacity() const { return capacity_; }
-  std::size_t waiting() const { return waiters_.size(); }
-
- private:
-  Simulator& sim_;
-  std::uint32_t available_;
-  std::uint32_t capacity_;
-  std::vector<EventFn> waiters_;
-};
-
 }  // namespace nadfs::sim

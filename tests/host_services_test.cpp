@@ -312,30 +312,36 @@ TEST(AckTracker, ReExpectOfPendingTagIsHardError) {
   EXPECT_NO_THROW(tracker.expect(7, 1, [](dfs::DfsError, TimePs) {}));
 }
 
-TEST(AckTracker, ReplaceSupersedesPendingOp) {
-  services::AckTracker tracker;
-  sim::Simulator sim;
-  net::Network net(sim);
-  storage::Target mem(sim);
-  rdma::Nic nic(sim, net, mem);
-  tracker.install(nic);
+TEST(OpJoin, FirstErrorWinsAtLatestTime) {
+  int fired = 0;
+  dfs::DfsError seen = dfs::DfsError::kOk;
+  TimePs seen_at = 0;
+  const services::OpCb done = services::join(3, [&](dfs::DfsError err, TimePs at) {
+    ++fired;
+    seen = err;
+    seen_at = at;
+  });
+  done(dfs::DfsError::kOk, 50);
+  done(dfs::DfsError::kNotFound, 10);
+  EXPECT_EQ(fired, 0);  // fires only on the n-th arrival
+  done(dfs::DfsError::kTimeout, 30);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(seen, dfs::DfsError::kNotFound);  // the first error, not the last
+  EXPECT_EQ(seen_at, 50u);                    // the latest time, not the last
 
-  tracker.expect(8, 1, [](dfs::DfsError, TimePs) { FAIL() << "replaced op completed"; });
-  bool done = false;
-  tracker.replace(8, 1, [&](dfs::DfsError, TimePs) { done = true; });
-  EXPECT_EQ(tracker.replaced_ops(), 1u);
-  EXPECT_EQ(tracker.pending_count(), 1u);
+  const services::OpCb all_ok = services::join(2, [&](dfs::DfsError err, TimePs at) {
+    ++fired;
+    seen = err;
+    seen_at = at;
+  });
+  all_ok(dfs::DfsError::kOk, 7);
+  all_ok(dfs::DfsError::kOk, 5);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(seen, dfs::DfsError::kOk);
+  EXPECT_EQ(seen_at, 7u);
 
-  net::Packet ack;
-  ack.opcode = net::Opcode::kAck;
-  ack.user_tag = 8;
-  nic.on_packet(std::move(ack));
-  EXPECT_TRUE(done);
-
-  // replace() on a free tag is just expect().
-  tracker.replace(9, 1, [](dfs::DfsError, TimePs) {});
-  EXPECT_EQ(tracker.replaced_ops(), 1u);
-  EXPECT_TRUE(tracker.pending(9));
+  // A join over nothing would never fire; it is refused, not accepted.
+  EXPECT_THROW(services::join(0, [](dfs::DfsError, TimePs) {}), std::invalid_argument);
 }
 
 TEST(AckTracker, TakeHandsBackTheCallback) {

@@ -168,6 +168,44 @@ TEST(Striping, SubRangeRead) {
   EXPECT_EQ(got, Bytes(data.begin() + 1500, data.begin() + 6500));
 }
 
+TEST(Striping, ZeroLengthOpsComplete) {
+  // A zero-length op overlaps no stripe unit. It must still answer, exactly
+  // once and without wire traffic, as the plain layout does: a write is a
+  // successful no-op, a read is a client bug (kBadArg), and an append is
+  // refused by the metadata reservation (kBadArg) on every layout.
+  ClusterConfig cfg;
+  cfg.storage_nodes = 2;
+  Cluster cluster(cfg);
+  Client client(cluster, 0);
+  const auto& layout = cluster.metadata().create("s", 40000, striped(2, 1024));
+  const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
+  ASSERT_EQ(client.create("t", 8 * KiB, striped(2, 1024)), dfs::DfsError::kOk);
+  const auto tcap = cluster.metadata().grant(client.client_id(), *cluster.metadata().lookup("t"),
+                                             auth::Right::kReadWrite);
+  const auto events_before = cluster.sim().executed_events();
+
+  int writes = 0, reads = 0, appends = 0;
+  client.write_at(layout, cap, 3000, Bytes{}, [&](dfs::DfsError err, TimePs) {
+    ++writes;
+    EXPECT_EQ(err, dfs::DfsError::kOk);
+  });
+  client.read_at(layout, cap, 3000, 0, [&](dfs::DfsError err, Bytes data, TimePs) {
+    ++reads;
+    EXPECT_EQ(err, dfs::DfsError::kBadArg);
+    EXPECT_TRUE(data.empty());
+  });
+  client.append("t", tcap, Bytes{}, [&](dfs::DfsError err, TimePs) {
+    ++appends;
+    EXPECT_EQ(err, dfs::DfsError::kBadArg);
+  });
+  cluster.sim().run();
+  EXPECT_EQ(writes, 1);
+  EXPECT_EQ(reads, 1);
+  EXPECT_EQ(appends, 1);
+  EXPECT_EQ(cluster.sim().executed_events(), events_before);
+  EXPECT_EQ(client.tracker().pending_count(), 0u);
+}
+
 TEST(Striping, AggregatesBandwidthOverSingleTarget) {
   // A large write striped over 4 nodes completes faster than the same write
   // to one node: the DMA/ingress path parallelizes even though the client
