@@ -1,6 +1,7 @@
 #include "services/client.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -130,6 +131,111 @@ unsigned Client::acks_for(const FileLayout& layout) {
   return 1;
 }
 
+dfs::DfsHeader Client::header(dfs::OpType op, std::uint64_t greq,
+                              const auth::Capability& cap) const {
+  dfs::DfsHeader hdr;
+  hdr.op = op;
+  hdr.greq_id = greq;
+  hdr.client_node = node_.id();
+  hdr.cap = cap;
+  return hdr;
+}
+
+void Client::post_write(std::uint64_t greq, const auth::Capability& cap,
+                        std::span<const WriteTrain> trains, const Bytes& data) {
+  const dfs::DfsHeader hdr = header(dfs::OpType::kWrite, greq, cap);
+  const std::size_t mtu = cluster_.network().mtu();
+  auto build = [&](const WriteTrain& t) {
+    return dfs::build_write_packets(node_.id(), t.dst, mtu, hdr, t.wrh,
+                                    ByteSpan(data.data() + t.data_off, t.wrh.total_len));
+  };
+  if (trains.size() == 1) {
+    node_.nic().post_message(build(trains.front()));
+    return;
+  }
+  std::vector<std::vector<net::Packet>> per_node;
+  per_node.reserve(trains.size());
+  for (const auto& t : trains) per_node.push_back(build(t));
+  if (ec_interleave_) {
+    node_.nic().post_message(interleave(std::move(per_node)));
+    return;
+  }
+  std::vector<net::Packet> sequential;
+  for (auto& train : per_node) {
+    for (auto& p : train) sequential.push_back(std::move(p));
+  }
+  node_.nic().post_message(std::move(sequential));
+}
+
+void Client::post_extent_op(std::uint64_t greq, dfs::OpType op, const dfs::Coord& coord,
+                            const auth::Capability& cap, std::uint64_t len) {
+  dfs::ExtentRequestHeader erh;
+  erh.addr = coord.addr;
+  erh.len = len;
+  node_.nic().post_message(
+      dfs::build_extent_packets(node_.id(), coord.node, header(op, greq, cap), erh));
+}
+
+template <class Post>
+void Client::start_attempt(unsigned acks, Post post, OpCb cb, unsigned attempts_left) {
+  const std::uint64_t greq = next_greq();
+  const TimePs issued = cluster_.sim().now();
+  std::function<void(unsigned)> reissue;
+  if (attempts_left > 0) {
+    // The reissue closure owns a copy of the post step (and so of the
+    // payload); with retries off nothing is copied.
+    reissue = [this, acks, post, cb](unsigned attempts) mutable {
+      start_attempt(acks, std::move(post), std::move(cb), attempts);
+    };
+  }
+  tracker_.expect(greq, acks,
+                  [this, greq, issued, cb = std::move(cb), attempts_left,
+                   reissue = std::move(reissue)](dfs::DfsError err, TimePs at) mutable {
+                    note_op("write", "write_failed", err == dfs::DfsError::kOk, greq, issued, at,
+                            write_latency_);
+                    if (!retry(err, attempts_left, std::move(reissue))) cb(err, at);
+                  });
+  arm_deadline(greq);
+  post(greq);
+}
+
+template <class Trains>
+void Client::write_trains(unsigned acks, const auth::Capability& cap, Trains trains, Bytes data,
+                          OpCb cb) {
+  start_attempt(
+      acks,
+      [this, cap, trains = std::move(trains), data = std::move(data)](std::uint64_t greq) {
+        post_write(greq, cap, trains, data);
+      },
+      std::move(cb), max_retries_);
+}
+
+void Client::arm_deadline(std::uint64_t greq) {
+  if (timeout_ == 0) return;
+  cluster_.sim().schedule(timeout_, [this, greq] {
+    // Still pending at the deadline: take it, so straggler acks land in
+    // late_acks instead of completing a dead op, and fail the attempt.
+    if (auto cb = tracker_.take(greq)) (*cb)(dfs::DfsError::kTimeout, cluster_.sim().now());
+  });
+}
+
+bool Client::retry(dfs::DfsError err, unsigned attempts_left,
+                   std::function<void(unsigned)> reissue) {
+  // A failed attempt is either a NACK (typed error from the storage node,
+  // e.g. request table full — paper §III-B.2) or a deadline expiry
+  // (kTimeout, which only arm_deadline produces). Transient errors back
+  // off and reissue, booked under the matching retry counter; permanent
+  // errors (kNotFound, kBadArg, ...) surface immediately.
+  if (err == dfs::DfsError::kTimeout) ++op_timeouts_;
+  if (err == dfs::DfsError::kOk || attempts_left == 0 || !transient_error(err)) return false;
+  ++(err == dfs::DfsError::kTimeout ? timeout_retries_ : deny_retries_);
+  ++retries_performed_;
+  cluster_.sim().schedule(
+      retry_delay(attempts_left),
+      [attempts_left, reissue = std::move(reissue)] { reissue(attempts_left - 1); });
+  return true;
+}
+
 void Client::write(const FileLayout& layout, const auth::Capability& cap, Bytes data, OpCb cb) {
   write_at(layout, cap, 0, std::move(data), std::move(cb));
 }
@@ -155,31 +261,31 @@ void Client::write_at(const FileLayout& layout, const auth::Capability& cap,
   wrh.dest_addr = primary.addr + offset;
   wrh.total_len = data.size();
   wrh.resiliency = layout.policy.resiliency;
-  std::vector<WriteTrain> trains;
   if (layout.policy.resiliency == dfs::Resiliency::kReplication) {
     // One train to the primary (virtual rank 0); the NICs fan it out.
     wrh.strategy = layout.policy.strategy;
     wrh.replicas = layout.targets;
     for (auto& coord : wrh.replicas) coord.addr += offset;
-    trains.push_back({primary.node, std::move(wrh)});
-  } else {
-    // One train per data node over k equal, zero-padded chunks.
-    const unsigned k = layout.policy.ec_k;
-    const auto chunk_len = static_cast<std::size_t>(layout.chunk_len);
-    data.resize(chunk_len * k, 0);
-    wrh.total_len = chunk_len;
-    wrh.ec_k = layout.policy.ec_k;
-    wrh.ec_m = layout.policy.ec_m;
-    wrh.parity_nodes = layout.parity;
-    trains.reserve(k);
-    for (unsigned i = 0; i < k; ++i) {
-      wrh.dest_addr = layout.targets[i].addr;
-      wrh.data_idx = static_cast<std::uint8_t>(i);
-      trains.push_back({layout.targets[i].node, wrh, i * chunk_len});
-    }
+    write_trains(acks_for(layout), cap, std::array{WriteTrain{primary.node, std::move(wrh)}},
+                 std::move(data), std::move(cb));
+    return;
   }
-  start_attempt(acks_for(layout), post_write(cap, std::move(trains), std::move(data)),
-                std::move(cb), max_retries_);
+  // One train per data node over k equal, zero-padded chunks.
+  const unsigned k = layout.policy.ec_k;
+  const auto chunk_len = static_cast<std::size_t>(layout.chunk_len);
+  data.resize(chunk_len * k, 0);
+  wrh.total_len = chunk_len;
+  wrh.ec_k = layout.policy.ec_k;
+  wrh.ec_m = layout.policy.ec_m;
+  wrh.parity_nodes = layout.parity;
+  std::vector<WriteTrain> trains;
+  trains.reserve(k);
+  for (unsigned i = 0; i < k; ++i) {
+    wrh.dest_addr = layout.targets[i].addr;
+    wrh.data_idx = static_cast<std::uint8_t>(i);
+    trains.push_back({layout.targets[i].node, wrh, i * chunk_len});
+  }
+  write_trains(acks_for(layout), cap, std::move(trains), std::move(data), std::move(cb));
 }
 
 void Client::striped_write(const FileLayout& layout, const auth::Capability& cap,
@@ -252,94 +358,6 @@ void Client::striped_read(const FileLayout& layout, const auth::Capability& cap,
   }
 }
 
-dfs::DfsHeader Client::header(dfs::OpType op, std::uint64_t greq,
-                              const auth::Capability& cap) const {
-  dfs::DfsHeader hdr;
-  hdr.op = op;
-  hdr.greq_id = greq;
-  hdr.client_node = node_.id();
-  hdr.cap = cap;
-  return hdr;
-}
-
-Client::PostFn Client::post_write(const auth::Capability& cap, std::vector<WriteTrain> trains,
-                                  Bytes data) {
-  return [this, cap, trains = std::move(trains), data = std::move(data)](std::uint64_t greq) {
-    const dfs::DfsHeader hdr = header(dfs::OpType::kWrite, greq, cap);
-    const std::size_t mtu = cluster_.network().mtu();
-    auto build = [&](const WriteTrain& t) {
-      return dfs::build_write_packets(node_.id(), t.dst, mtu, hdr, t.wrh,
-                                      ByteSpan(data.data() + t.data_off, t.wrh.total_len));
-    };
-    if (trains.size() == 1) {
-      node_.nic().post_message(build(trains.front()));
-      return;
-    }
-    std::vector<std::vector<net::Packet>> per_node;
-    per_node.reserve(trains.size());
-    for (const auto& t : trains) per_node.push_back(build(t));
-    if (ec_interleave_) {
-      node_.nic().post_message(interleave(std::move(per_node)));
-      return;
-    }
-    std::vector<net::Packet> sequential;
-    for (auto& train : per_node) {
-      for (auto& p : train) sequential.push_back(std::move(p));
-    }
-    node_.nic().post_message(std::move(sequential));
-  };
-}
-
-void Client::start_attempt(unsigned acks, PostFn post, OpCb cb, unsigned attempts_left) {
-  const std::uint64_t greq = next_greq();
-  const TimePs issued = cluster_.sim().now();
-  std::function<void(unsigned)> reissue;
-  if (attempts_left > 0) {
-    // The reissue closure owns a copy of the post step (and so of the
-    // payload); with retries off nothing is copied.
-    reissue = [this, acks, post, cb](unsigned attempts) mutable {
-      start_attempt(acks, std::move(post), std::move(cb), attempts);
-    };
-  }
-  tracker_.expect(greq, acks,
-                  [this, greq, issued, cb = std::move(cb), attempts_left,
-                   reissue = std::move(reissue)](dfs::DfsError err, TimePs at) mutable {
-                    note_op("write", "write_failed", err == dfs::DfsError::kOk, greq, issued, at,
-                            write_latency_);
-                    if (!retry(err, attempts_left, std::move(reissue))) cb(err, at);
-                  });
-  arm_deadline(greq);
-  post(greq);
-}
-
-void Client::arm_deadline(std::uint64_t greq) {
-  if (timeout_ == 0) return;
-  cluster_.sim().schedule(timeout_, [this, greq] {
-    if (auto cb = tracker_.take(greq)) {
-      // Still pending at the deadline: cancel, so straggler acks land in
-      // late_acks instead of completing a dead op, and fail the attempt.
-      ++op_timeouts_;
-      (*cb)(dfs::DfsError::kTimeout, cluster_.sim().now());
-    }
-  });
-}
-
-bool Client::retry(dfs::DfsError err, unsigned attempts_left,
-                   std::function<void(unsigned)> reissue) {
-  // A failed attempt is either a NACK (typed error from the storage node,
-  // e.g. request table full — paper §III-B.2) or a deadline expiry
-  // (kTimeout). Transient errors back off and reissue, booked under the
-  // matching retry counter; permanent errors (kNotFound, kBadArg, ...)
-  // surface immediately.
-  if (err == dfs::DfsError::kOk || attempts_left == 0 || !transient_error(err)) return false;
-  ++(err == dfs::DfsError::kTimeout ? timeout_retries_ : deny_retries_);
-  ++retries_performed_;
-  cluster_.sim().schedule(
-      retry_delay(attempts_left),
-      [attempts_left, reissue = std::move(reissue)] { reissue(attempts_left - 1); });
-  return true;
-}
-
 TimePs Client::retry_delay(unsigned attempts_left) const {
   // attempts_left counts down from max_retries_, so retry n (n = 0 for the
   // first) sees attempts_left == max_retries_ - n and waits
@@ -384,7 +402,7 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
   const TimePs issued = cluster_.sim().now();
   // Two completion paths share the callback: the NIC's read response, and
   // the tracker entry, which a typed NACK (fail-fast) or the deadline
-  // fails. Exactly one fires; it cancels the other.
+  // fails. Exactly one completes the op; it cancels the other.
   auto shared_cb = std::make_shared<ReadCb>(std::move(cb));
   arm_deadline(greq);
   // The huge acks_needed keeps stray ACKs from completing the entry.
@@ -392,7 +410,10 @@ void Client::start_read(const dfs::Coord& coord, const auth::Capability& cap, st
       greq, std::numeric_limits<unsigned>::max(),
       [this, coord, cap, len, shared_cb, attempts_left, greq, issued](dfs::DfsError err,
                                                                        TimePs at) {
-        node_.nic().cancel_read(greq);
+        // The NIC frees the read's slot when the last response packet
+        // arrives, then lands the data over PCIe: a failure in that window
+        // comes too late, and the landing response completes the op.
+        if (!node_.nic().cancel_read(greq)) return;
         note_op("read", "read_failed", false, greq, issued, at, read_latency_);
         auto reissue = [this, coord, cap, len, shared_cb](unsigned attempts) {
           start_read(coord, cap, len, std::move(*shared_cb), attempts);
@@ -417,33 +438,28 @@ void Client::write_extent(const dfs::Coord& coord, const auth::Capability& cap, 
   dfs::WriteRequestHeader wrh;
   wrh.dest_addr = coord.addr;
   wrh.total_len = data.size();
-  std::vector<WriteTrain> trains;
-  trains.push_back({coord.node, std::move(wrh)});
-  start_attempt(1, post_write(cap, std::move(trains), std::move(data)), std::move(cb),
-                max_retries_);
+  write_trains(1, cap, std::array{WriteTrain{coord.node, std::move(wrh)}}, std::move(data),
+               std::move(cb));
 }
 
 void Client::trim_extent(const dfs::Coord& coord, const auth::Capability& cap, std::uint64_t len,
                          OpCb cb) {
-  start_attempt(1, post_extent_op(dfs::OpType::kTrim, coord, cap, len), std::move(cb),
-                max_retries_);
+  start_attempt(
+      1,
+      [this, coord, cap, len](std::uint64_t greq) {
+        post_extent_op(greq, dfs::OpType::kTrim, coord, cap, len);
+      },
+      std::move(cb), max_retries_);
 }
 
 void Client::stat_extent(const dfs::Coord& coord, const auth::Capability& cap, std::uint64_t len,
                          OpCb cb) {
-  start_attempt(1, post_extent_op(dfs::OpType::kStat, coord, cap, len), std::move(cb),
-                max_retries_);
-}
-
-Client::PostFn Client::post_extent_op(dfs::OpType op, const dfs::Coord& coord,
-                                      const auth::Capability& cap, std::uint64_t len) {
-  return [this, op, coord, cap, len](std::uint64_t greq) {
-    dfs::ExtentRequestHeader erh;
-    erh.addr = coord.addr;
-    erh.len = len;
-    node_.nic().post_message(
-        dfs::build_extent_packets(node_.id(), coord.node, header(op, greq, cap), erh));
-  };
+  start_attempt(
+      1,
+      [this, coord, cap, len](std::uint64_t greq) {
+        post_extent_op(greq, dfs::OpType::kStat, coord, cap, len);
+      },
+      std::move(cb), max_retries_);
 }
 
 // ---- name-based operations ------------------------------------------------

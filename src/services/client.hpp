@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -183,7 +184,9 @@ class Client {
   /// expiry the pending op is cancelled via AckTracker::take (a straggler
   /// ack then counts as late_acks, not a completion; a read also drops its
   /// Nic::cancel_read slot) and the op is retried per the retry policy; a
-  /// retry is a fresh attempt under a fresh request id.
+  /// retry is a fresh attempt under a fresh request id. A read whose last
+  /// response packet has already reached the NIC is past its deadline's
+  /// reach: the response lands and completes it.
   void set_timeout(TimePs timeout) { timeout_ = timeout; }
   TimePs timeout() const { return timeout_; }
 
@@ -209,9 +212,6 @@ class Client {
   const obs::QuantileSketch& read_latency() const { return read_latency_; }
 
  private:
-  /// Posts one attempt's packets under that attempt's greq; every retry
-  /// runs it again under a fresh greq.
-  using PostFn = std::function<void(std::uint64_t greq)>;
   /// One write packet train: `wrh` addressed to storage node `dst`,
   /// carrying data[data_off, data_off + wrh.total_len).
   struct WriteTrain {
@@ -220,21 +220,33 @@ class Client {
     std::size_t data_off = 0;
   };
   dfs::DfsHeader header(dfs::OpType op, std::uint64_t greq, const auth::Capability& cap) const;
-  PostFn post_write(const auth::Capability& cap, std::vector<WriteTrain> trains, Bytes data);
+  /// Posts one write attempt under `greq`: a single train as built, EC's k
+  /// trains interleaved (or back to back).
+  void post_write(std::uint64_t greq, const auth::Capability& cap,
+                  std::span<const WriteTrain> trains, const Bytes& data);
   /// Single-packet extent op (kTrim / kStat).
-  PostFn post_extent_op(dfs::OpType op, const dfs::Coord& coord, const auth::Capability& cap,
-                        std::uint64_t len);
+  void post_extent_op(std::uint64_t greq, dfs::OpType op, const dfs::Coord& coord,
+                      const auth::Capability& cap, std::uint64_t len);
   /// The one acked-op attempt (writes, trims, stats): fresh greq, expect
-  /// `acks` DFS acks, arm the deadline, post; a failure goes to retry().
-  void start_attempt(unsigned acks, PostFn post, OpCb cb, unsigned attempts_left);
+  /// `acks` DFS acks, arm the deadline, then `post(greq)` posts the
+  /// packets; a failure goes to retry(). `post` is a plain closure, so a
+  /// first attempt allocates nothing for it; only a retry keeps a copy.
+  template <class Post>
+  void start_attempt(unsigned acks, Post post, OpCb cb, unsigned attempts_left);
+  /// start_attempt over `trains`: a std::array of one (plain, replicated)
+  /// or EC's k in a vector.
+  template <class Trains>
+  void write_trains(unsigned acks, const auth::Capability& cap, Trains trains, Bytes data,
+                    OpCb cb);
   void start_read(const dfs::Coord& coord, const auth::Capability& cap, std::uint32_t len,
                   ReadCb cb, unsigned attempts_left);
   /// Deadline for `greq` (no-op with timeouts disabled): a still-pending
   /// tracker entry is taken and failed with kTimeout.
   void arm_deadline(std::uint64_t greq);
-  /// The one retry decision: a transient failure with attempts left books
-  /// the retry counters and schedules `reissue(attempts_left - 1)` after
-  /// the backoff. Returns false when the attempt's outcome is final.
+  /// The one retry decision: books a kTimeout under op_timeouts; a
+  /// transient failure with attempts left books the retry counters and
+  /// schedules `reissue(attempts_left - 1)` after the backoff. Returns
+  /// false when the attempt's outcome is final.
   bool retry(dfs::DfsError err, unsigned attempts_left, std::function<void(unsigned)> reissue);
   TimePs retry_delay(unsigned attempts_left) const;
   void striped_write(const FileLayout& layout, const auth::Capability& cap,

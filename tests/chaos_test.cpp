@@ -255,6 +255,58 @@ TEST(ClientTimeout, ReadFromDeadNodeDrainsToEmptyBuffer) {
   dump_if_failed(cluster, &client, nullptr);
 }
 
+TEST(ClientTimeout, DeadlineWhileReadResponseLandsIsNotATimeout) {
+  // The NIC frees its pending-read slot when the last response packet
+  // arrives, then lands the data over PCIe (>= pcie_latency, 200 ns) before
+  // the read completes. A deadline inside that window loses to the
+  // response: one kOk completion, no timeout, no retry — with or without
+  // retries left.
+  struct Outcome {
+    unsigned calls = 0;
+    dfs::DfsError err = dfs::DfsError::kTimeout;
+    TimePs issued = 0;
+    TimePs at = 0;
+    std::uint64_t op_timeouts = 0;
+    std::uint64_t retries = 0;
+  };
+  auto run = [](TimePs timeout, unsigned retries) {
+    Cluster cluster;
+    Client client(cluster, 0);
+    const auto& layout = cluster.metadata().create("obj", 16 * KiB, FilePolicy{});
+    const auto cap =
+        cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
+    client.write(layout, cap, random_bytes(16 * KiB, 11), [](dfs::DfsError, TimePs) {});
+    cluster.sim().run();
+    client.set_timeout(timeout);
+    client.set_retry_policy(retries, us(5));
+    Outcome out;
+    out.issued = cluster.sim().now();
+    client.read(layout, cap, 16 * KiB, [&out](dfs::DfsError e, Bytes, TimePs at) {
+      ++out.calls;
+      out.err = e;
+      out.at = at;
+    });
+    cluster.sim().run();
+    out.op_timeouts = client.op_timeouts();
+    out.retries = client.retries_performed();
+    return out;
+  };
+  const Outcome clean = run(0, 0);
+  ASSERT_EQ(clean.calls, 1u);
+  ASSERT_EQ(clean.err, dfs::DfsError::kOk);
+  // 50 ns before completion is after the last packet arrived (>= 200 ns
+  // before completion) and before the data has landed.
+  const TimePs deadline = clean.at - clean.issued - ns(50);
+  for (unsigned retries : {0u, 1u}) {
+    const Outcome raced = run(deadline, retries);
+    EXPECT_EQ(raced.calls, 1u) << "retries " << retries;
+    EXPECT_EQ(raced.err, dfs::DfsError::kOk) << "retries " << retries;
+    EXPECT_EQ(raced.at, clean.at) << "retries " << retries;
+    EXPECT_EQ(raced.op_timeouts, 0u) << "retries " << retries;
+    EXPECT_EQ(raced.retries, 0u) << "retries " << retries;
+  }
+}
+
 // ------------------------------------------------- the acceptance scenario
 
 // Kill a storage node mid-EC-write; the detector (not a hand-built failed
