@@ -7,15 +7,15 @@
 //
 // Recording is an append to a vector: no simulation events, no RNG, no
 // sim-time reads beyond values the caller already has — attaching a
-// tracer cannot change a run's digest. Export is Chrome trace-event JSON
-// (the Perfetto legacy format): pid = node id, tid = lane. HPU handler
-// spans use lane cluster*1000 + hpu (cat "handler", name HH/PH/CH or
-// "cleanup", val = instructions); other layers use the well-known lanes
-// below.
+// tracer cannot change a run's digest. It is unsynchronized: a tracer
+// belongs to one simulation, and a simulation runs on one thread. Export
+// is Chrome trace-event JSON (the Perfetto legacy format): pid = node id,
+// tid = lane. HPU handler spans use lane cluster*1000 + hpu (cat
+// "handler", name HH/PH/CH or "cleanup", val = instructions); other layers
+// use the well-known lanes below.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -62,7 +62,6 @@ class SpanTracer {
       const std::uint64_t key = s.corr != 0 ? s.corr : s.msg;
       if (key != 0 && key % sample_every_ != 0) return;
     }
-    std::lock_guard<std::mutex> lk(mu_);
     spans_.push_back(s);
   }
 
@@ -92,9 +91,6 @@ class SpanTracer {
   static std::string lane_name(std::uint32_t lane);
 
  private:
-  // Guards the append, so recording is safe from any thread. Within one
-  // simulation spans land in event order.
-  std::mutex mu_;
   std::uint64_t sample_every_ = 1;
   std::vector<Span> spans_;
   std::unordered_map<std::uint32_t, std::string> labels_;

@@ -28,7 +28,8 @@ PsPinDevice::PsPinDevice(sim::Simulator& simulator, PsPinConfig config)
       pkt_buffer_dma_(simulator,
                       Bandwidth::from_gbytes_per_sec(config.pkt_buffer_bytes_per_cycle *
                                                      (1e3 / static_cast<double>(config.cycle)))),
-      scheduler_(simulator, Bandwidth::from_gbps(1.0)) {
+      scheduler_(simulator, Bandwidth::from_gbps(1.0)),
+      egress_(config.egress_queue_depth) {
   const double bytes_per_sec_factor = 1e12 / static_cast<double>(config.cycle) / 1e9;
   for (unsigned c = 0; c < config_.num_clusters; ++c) {
     l1_dma_.push_back(std::make_unique<sim::FifoServer>(
@@ -45,32 +46,6 @@ bool PsPinDevice::install(spin::ExecutionContext ctx) {
 
 void PsPinDevice::uninstall() { ctx_.reset(); }
 
-TimePs PsPinDevice::egress_accept(TimePs want) {
-  // Every future query's `want` is >= sim_.now() (replay cursors never run
-  // behind the dispatch event), so slots drained by now can be dropped.
-  std::erase_if(egress_slots_,
-                [now = sim_.now()](const EgressSlot& s) { return s.end <= now; });
-
-  // Commands occupying the queue at `want`: already issued, not yet drained.
-  std::vector<TimePs> ends;
-  ends.reserve(egress_slots_.size());
-  for (const auto& s : egress_slots_) {
-    if (s.issue <= want && s.end > want) ends.push_back(s.end);
-  }
-  if (ends.size() >= config_.egress_queue_depth) {
-    // Wait until enough of them drain that a slot frees: the
-    // (count - depth + 1)-th completion.
-    const std::size_t idx = ends.size() - config_.egress_queue_depth;
-    std::nth_element(ends.begin(), ends.begin() + static_cast<std::ptrdiff_t>(idx), ends.end());
-    want = std::max(want, ends[idx]);
-  }
-  return want;
-}
-
-void PsPinDevice::note_egress_slot(TimePs issue, TimePs end) {
-  egress_slots_.push_back(EgressSlot{issue, end});
-}
-
 TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start) {
   TimePs cursor = start;
   std::uint64_t charged = 0;
@@ -81,27 +56,27 @@ TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start) {
       case spin::HandlerCtx::Cmd::Kind::kSend: {
         // Acquire an egress command-queue slot: the HPU stalls here when the
         // outbound engine is backed up (the sPIN-PBT mechanism, Table I).
-        cursor = egress_accept(cursor);
+        cursor = egress_.accept(cursor, sim_.now());
         // The outbound engine keeps a message's sends in issue order (see
         // MsgState::last_send_start): the HPU does not stall for this, the
         // command just drains in order.
         const TimePs earliest = std::max(cursor, msg.last_send_start + 1);
         const auto w = nic_->egress_send(std::move(cmd.pkt), earliest);
         msg.last_send_start = w.start;
-        note_egress_slot(cursor, w.end);
+        egress_.note(cursor, w.end);
         break;
       }
       case spin::HandlerCtx::Cmd::Kind::kSendFromStorage: {
         // Scatter-gather send: the NIC gathers the payload over PCIe at
         // transmit time; the HPU does not block on the DMA, only on the
         // command-queue slot. The gather pipelines with the wire.
-        cursor = egress_accept(cursor);
+        cursor = egress_.accept(cursor, sim_.now());
         auto [data, ready] = nic_->dma_from_storage(cmd.addr, cmd.len, cursor);
         (void)data;  // payload was filled functionally at record time
         const TimePs earliest = std::max({ready, msg.last_send_start + 1});
         const auto w = nic_->egress_send(std::move(cmd.pkt), earliest);
         msg.last_send_start = w.start;
-        note_egress_slot(cursor, w.end);
+        egress_.note(cursor, w.end);
         break;
       }
       case spin::HandlerCtx::Cmd::Kind::kDma: {
@@ -288,14 +263,6 @@ unsigned PsPinDevice::busy_hpus(TimePs t) const {
   return busy;
 }
 
-unsigned PsPinDevice::egress_in_flight(TimePs t) const {
-  unsigned n = 0;
-  for (const auto& s : egress_slots_) {
-    if (s.issue <= t && s.end > t) ++n;
-  }
-  return n;
-}
-
 void PsPinDevice::bind_metrics(obs::MetricRegistry& reg, const std::string& prefix) {
   reg.counter_cell(prefix + ".payload_bytes_done", &payload_bytes_done_);
   reg.counter_cell(prefix + ".cleanup_runs", &cleanup_runs_);
@@ -303,9 +270,9 @@ void PsPinDevice::bind_metrics(obs::MetricRegistry& reg, const std::string& pref
             [this] { return static_cast<long long>(messages_.size()); });
   reg.gauge(prefix + ".busy_hpus", [this] { return static_cast<long long>(busy_hpus(sim_.now())); });
   reg.gauge(prefix + ".egress_in_flight",
-            [this] { return static_cast<long long>(egress_in_flight(sim_.now())); });
+            [this] { return static_cast<long long>(egress_.in_flight(sim_.now())); });
   reg.gauge(prefix + ".egress_credits", [this] {
-    const unsigned used = egress_in_flight(sim_.now());
+    const unsigned used = egress_.in_flight(sim_.now());
     return static_cast<long long>(config_.egress_queue_depth -
                                   std::min(config_.egress_queue_depth, used));
   });

@@ -35,6 +35,7 @@
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "pspin/egress_queue.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "spin/handler.hpp"
@@ -120,7 +121,7 @@ class PsPinDevice {
   /// probe for occupancy timeseries.
   unsigned busy_hpus(TimePs t) const;
   /// Egress command-queue slots occupied at `t` (issued, not yet drained).
-  unsigned egress_in_flight(TimePs t) const;
+  unsigned egress_in_flight(TimePs t) const { return egress_.in_flight(t); }
 
   /// Goodput accounting: payload bytes whose payload handler has completed,
   /// and the time the last one completed.
@@ -166,9 +167,6 @@ class PsPinDevice {
   /// end time.
   TimePs replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start);
 
-  TimePs egress_accept(TimePs want);
-  void note_egress_slot(TimePs issue, TimePs end);
-
   void maybe_run_completion(const spin::MessageKey& key, MsgState& msg);
   void arm_cleanup(const spin::MessageKey& key);
   void run_cleanup(const spin::MessageKey& key);
@@ -184,14 +182,7 @@ class PsPinDevice {
   std::vector<std::unique_ptr<sim::FifoServer>> l1_dma_;  // per cluster
   std::vector<std::vector<TimePs>> hpu_free_;             // per cluster, per HPU
 
-  // Bounded egress command queue. Timelines are computed eagerly and can be
-  // evaluated out of dispatch order, so each accepted send is kept as an
-  // (issue, drain) interval and occupancy is counted per query time.
-  struct EgressSlot {
-    TimePs issue;
-    TimePs end;
-  };
-  std::vector<EgressSlot> egress_slots_;
+  EgressQueue egress_;  // bounded egress command queue
 
   std::unordered_map<spin::MessageKey, MsgState, spin::MessageKeyHash> messages_;
   unsigned next_cluster_ = 0;

@@ -297,6 +297,14 @@ void Client::striped_write(const FileLayout& layout, const auth::Capability& cap
     return;
   }
   const std::uint64_t ss = layout.policy.stripe_size;
+  if (offset % ss + data.size() <= ss) {
+    // Inside one stripe unit: the payload is that unit's write as is.
+    const auto [stripe, within] = layout.locate(offset);
+    dfs::Coord target = layout.targets[stripe];
+    target.addr += within;
+    write_extent(target, cap, std::move(data), std::move(cb));
+    return;
+  }
   std::vector<std::tuple<dfs::Coord, Bytes>> units;
   std::uint64_t pos = offset;
   std::size_t consumed = 0;
@@ -312,6 +320,7 @@ void Client::striped_write(const FileLayout& layout, const auth::Capability& cap
     pos += n;
     consumed += n;
   }
+  Bytes{}.swap(data);  // every byte now lives in a unit: do not hold the payload twice
   const OpCb done = join(static_cast<unsigned>(units.size()), std::move(cb));
   for (auto& [target, bytes] : units) write_extent(target, cap, std::move(bytes), done);
 }

@@ -9,7 +9,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <iterator>
+#include <vector>
 
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
@@ -102,14 +103,14 @@ class GapServer {
     if (duration == 0) return {t, t};
 
     // Step back to the interval that may cover `t`.
-    auto next = busy_.lower_bound(t);
-    if (next != busy_.begin()) {
-      auto prev = std::prev(next);
-      if (prev->second > t) t = prev->second;
+    auto next = first_at_or_after(t);
+    if (next != live_begin()) {
+      const auto prev = std::prev(next);
+      if (prev->end > t) t = prev->end;
     }
     // Walk forward until a gap of `duration` fits before the next interval.
-    while (next != busy_.end() && next->first < t + duration) {
-      t = std::max(t, next->second);
+    while (next != busy_.end() && next->start < t + duration) {
+      t = std::max(t, next->end);
       ++next;
     }
     return {t, t + duration};
@@ -117,54 +118,71 @@ class GapServer {
 
   /// Take a window previously returned by plan()/plan_time().
   void commit(const Window& w) {
-    if (w.end == w.start) return;
-    insert(w);
-    total_time_ += w.end - w.start;
+    if (w.end != w.start) insert(w);
   }
 
   /// Earliest instant with no reservation at or after now (end of the last
   /// busy interval, or now if idle).
   TimePs horizon() const {
-    if (busy_.empty()) return sim_.now();
-    return std::max(sim_.now(), busy_.rbegin()->second);
+    if (head_ == busy_.size()) return sim_.now();
+    return std::max(sim_.now(), busy_.back().end);
   }
 
   Bandwidth rate() const { return rate_; }
-  std::size_t interval_count() const { return busy_.size(); }
+  std::size_t interval_count() const { return busy_.size() - head_; }
 
  private:
+  using Iter = std::vector<Window>::iterator;
+
+  Iter live_begin() { return busy_.begin() + static_cast<std::ptrdiff_t>(head_); }
+
+  /// First live interval starting at or after `t`.
+  Iter first_at_or_after(TimePs t) {
+    return std::lower_bound(live_begin(), busy_.end(), t,
+                            [](const Window& w, TimePs v) { return w.start < v; });
+  }
+
   void insert(Window w) {
-    // Coalesce with touching/overlapping neighbours to keep the map small.
-    auto it = busy_.lower_bound(w.start);
-    if (it != busy_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second >= w.start) {
-        w.start = prev->first;
-        w.end = std::max(w.end, prev->second);
-        busy_.erase(prev);
-      }
+    // Coalesce with touching/overlapping neighbours to keep the list short:
+    // [first, last) are the intervals the new window absorbs.
+    auto first = first_at_or_after(w.start);
+    if (first != live_begin() && std::prev(first)->end >= w.start) {
+      --first;
+      w.start = first->start;
     }
-    it = busy_.lower_bound(w.start);
-    while (it != busy_.end() && it->first <= w.end) {
-      w.end = std::max(w.end, it->second);
-      it = busy_.erase(it);
+    auto last = first;
+    while (last != busy_.end() && last->start <= w.end) {
+      w.end = std::max(w.end, last->end);
+      ++last;
     }
-    busy_[w.start] = w.end;
+    if (first == last) {
+      busy_.insert(first, w);
+    } else {
+      *first = w;
+      busy_.erase(std::next(first), last);
+    }
   }
 
   void prune() {
     // Reservations never start before sim.now(), so fully-past intervals
-    // can be dropped.
+    // are dead: step over them, and drop the dead prefix once it is at
+    // least as long as the live part (amortized O(1) per interval).
     const TimePs now = sim_.now();
-    while (!busy_.empty() && busy_.begin()->second <= now) {
-      busy_.erase(busy_.begin());
+    while (head_ < busy_.size() && busy_[head_].end <= now) ++head_;
+    if (head_ >= kCompactAt && 2 * head_ >= busy_.size()) {
+      busy_.erase(busy_.begin(), live_begin());
+      head_ = 0;
     }
   }
 
+  static constexpr std::size_t kCompactAt = 32;
+
   Simulator& sim_;
   Bandwidth rate_;
-  std::map<TimePs, TimePs> busy_;  // start -> end, disjoint, sorted
-  std::uint64_t total_time_ = 0;
+  // Busy intervals, disjoint and sorted by start; [0, head_) are dead
+  // (ended by the last prune) and wait for compaction.
+  std::vector<Window> busy_;
+  std::size_t head_ = 0;
 };
 
 }  // namespace nadfs::sim

@@ -168,6 +168,61 @@ TEST(Striping, SubRangeRead) {
   EXPECT_EQ(got, Bytes(data.begin() + 1500, data.begin() + 6500));
 }
 
+TEST(Striping, InUnitAndThreeUnitWritesReadBack) {
+  // A write inside one stripe unit is posted as that unit's write (its
+  // payload moved, not copied); a write across three units is split. Both
+  // must read back byte-exact, and the unit around each write must keep
+  // its old bytes.
+  ClusterConfig cfg;
+  cfg.storage_nodes = 3;
+  Cluster cluster(cfg);
+  Client client(cluster, 0);
+  const std::uint64_t unit = 4096;
+  const auto& layout = cluster.metadata().create("s", 12 * unit, striped(3, unit));
+  const auto cap = cluster.metadata().grant(client.client_id(), layout, auth::Right::kReadWrite);
+
+  Bytes expected = random_bytes(12 * unit, 6);
+  int done = 0;
+  auto write_ok = [&](dfs::DfsError err, TimePs) {
+    EXPECT_EQ(err, dfs::DfsError::kOk);
+    ++done;
+  };
+  client.write(layout, cap, expected, write_ok);
+  cluster.sim().run();
+  ASSERT_EQ(done, 1);
+
+  struct Patch {
+    std::uint64_t off;
+    std::size_t len;
+  };
+  // Inside unit 4 (stripe 1, second round); then units 6..8 (stripes 0, 1, 2).
+  for (const Patch p : {Patch{4 * unit + 100, 3000}, Patch{6 * unit + 512, 2 * unit + 1024}}) {
+    const Bytes patch = random_bytes(p.len, p.off);
+    std::copy(patch.begin(), patch.end(), expected.begin() + static_cast<std::ptrdiff_t>(p.off));
+    client.write_at(layout, cap, p.off, patch, write_ok);
+    cluster.sim().run();
+
+    Bytes got;
+    client.read_at(layout, cap, p.off, static_cast<std::uint32_t>(p.len),
+                   [&](dfs::DfsError err, Bytes d, TimePs) {
+                     EXPECT_EQ(err, dfs::DfsError::kOk);
+                     got = std::move(d);
+                   });
+    cluster.sim().run();
+    EXPECT_EQ(got, patch) << "write at " << p.off;
+  }
+  EXPECT_EQ(done, 3);
+
+  Bytes all;
+  client.read(layout, cap, static_cast<std::uint32_t>(expected.size()),
+              [&](dfs::DfsError err, Bytes d, TimePs) {
+                EXPECT_EQ(err, dfs::DfsError::kOk);
+                all = std::move(d);
+              });
+  cluster.sim().run();
+  EXPECT_EQ(all, expected);
+}
+
 TEST(Striping, ZeroLengthOpsComplete) {
   // A zero-length op overlaps no stripe unit. It must still answer, exactly
   // once and without wire traffic, as the plain layout does: a write is a
