@@ -23,14 +23,15 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # Event-core suites (event queue vs the retained reference heap oracle,
-# slot reuse, EventFn lifetime coverage) and the NIC-path timing indexes
+# slot reuse, EventFn lifetime coverage), the NIC-path timing indexes
 # (egress command queue and GapServer vs their retained linear-scan / map
-# references) get an explicit focused rerun so a discovery hiccup can never
-# silently skip them — these are the gate for event-order and timing
-# regressions. Every focused rerun below passes --no-tests=error, so a regex
-# that matches nothing (a renamed suite) fails the gate.
+# references) and the hot-path allocation guard get an explicit focused
+# rerun so a discovery hiccup can never silently skip them — these are the
+# gate for event-order, timing and per-packet allocation regressions. Every
+# focused rerun below passes --no-tests=error, so a regex that matches
+# nothing (a renamed suite) fails the gate.
 ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
-  -R 'SimQueueDifferential|EventQueue|EventFn|Determinism|EgressQueue|GapServer'
+  -R 'SimQueueDifferential|EventQueue|EventFn|Determinism|EgressQueue|GapServer|HotPathAlloc'
 
 # GF(2^8) kernel-tier matrix: rerun the EC suites under every tier the host
 # actually supports. gf_kernel_probe reports which tier a forced value

@@ -213,9 +213,10 @@ void forward_packet(HandlerCtx& ctx, const net::Packet& pkt, std::size_t header_
 }
 
 void payload_ec_data(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt, ReqEntry& entry,
-                     ByteSpan payload, std::uint64_t data_off) {
+                     std::size_t skip, std::uint64_t data_off) {
+  const ByteSpan payload = ByteSpan(pkt.data).subspan(skip);
   ctx.charge(cost::kEcPhBaseInstr, cost::kEcPhBaseCycles);
-  ctx.dma_to_storage(entry.dest_addr + data_off, Bytes(payload.begin(), payload.end()));
+  ctx.dma_payload_to_storage(entry.dest_addr + data_off, pkt, skip);
 
   const unsigned m = entry.ec_m;
   // One fused pass over the payload computes all m intermediate parities:
@@ -257,7 +258,8 @@ void payload_ec_data(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt, ReqE
 }
 
 void payload_ec_parity(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt, ReqEntry& entry,
-                       ByteSpan payload, std::uint64_t data_off) {
+                       std::size_t skip, std::uint64_t data_off) {
+  const ByteSpan payload = ByteSpan(pkt.data).subspan(skip);
   ctx.charge(cost::kAggBaseInstr, cost::kAggBaseCycles);
   ctx.charge_per_byte(payload.size(), cost::kAggInstrPerByte, cost::kAggCyclesPerByte);
 
@@ -282,8 +284,7 @@ void payload_ec_parity(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt, Re
     // Bounce the contribution to a host staging area; the host software
     // XORs it (functionally tracked in host_agg) and commits the parity
     // when the last stream contributed.
-    ctx.dma_to_storage(entry.dest_addr + entry.total_len + data_off,
-                       Bytes(payload.begin(), payload.end()));
+    ctx.dma_payload_to_storage(entry.dest_addr + entry.total_len + data_off, pkt, skip);
     auto& buf = st.host_agg[akey];
     if (buf.size() < payload.size()) buf.resize(payload.size(), 0);
     ec::ReedSolomon::aggregate(buf, payload);
@@ -319,17 +320,16 @@ void payload_handler(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt) {
   }
 
   const std::size_t skip = pkt.first() ? entry.header_bytes : 0;
-  const ByteSpan payload(pkt.data.data() + skip, pkt.data.size() - skip);
   const std::uint64_t data_off = pkt.first() ? 0 : pkt.raddr;
 
   switch (entry.resiliency) {
     case Resiliency::kNone:
       ctx.charge(cost::kPhBaseInstr, cost::kPhBaseCycles);
-      ctx.dma_to_storage(entry.dest_addr + data_off, Bytes(payload.begin(), payload.end()));
+      ctx.dma_payload_to_storage(entry.dest_addr + data_off, pkt, skip);
       break;
     case Resiliency::kReplication: {
       ctx.charge(cost::kPhBaseInstr, cost::kPhBaseCycles);
-      ctx.dma_to_storage(entry.dest_addr + data_off, Bytes(payload.begin(), payload.end()));
+      ctx.dma_payload_to_storage(entry.dest_addr + data_off, pkt, skip);
       for (std::size_t i = 0; i < entry.children.size(); ++i) {
         ctx.charge(i == 0 ? cost::kSendFirstInstr : cost::kSendExtraInstr,
                    i == 0 ? cost::kSendFirstCycles : cost::kSendExtraCycles);
@@ -340,9 +340,9 @@ void payload_handler(DfsState& st, HandlerCtx& ctx, const net::Packet& pkt) {
     }
     case Resiliency::kErasureCoding:
       if (entry.role == EcRole::kData) {
-        payload_ec_data(st, ctx, pkt, entry, payload, data_off);
+        payload_ec_data(st, ctx, pkt, entry, skip, data_off);
       } else {
-        payload_ec_parity(st, ctx, pkt, entry, payload, data_off);
+        payload_ec_parity(st, ctx, pkt, entry, skip, data_off);
       }
       break;
   }

@@ -67,6 +67,23 @@ sim::GapServer& Network::trunk(SwitchId leaf, SwitchId spine, bool up) {
   return up ? *trunk_up_[idx] : *trunk_down_[idx];
 }
 
+Network::Slot Network::park(Packet&& pkt) {
+  if (free_slots_.empty()) {
+    flight_.push_back(std::move(pkt));
+    return static_cast<Slot>(flight_.size() - 1);
+  }
+  const Slot slot = free_slots_.back();
+  free_slots_.pop_back();
+  flight_[slot] = std::move(pkt);
+  return slot;
+}
+
+void Network::release(Slot slot) {
+  // Drop the payload now rather than when the slot is next reused.
+  flight_[slot].data = Bytes{};
+  free_slots_.push_back(slot);
+}
+
 sim::Window Network::inject(Packet pkt, TimePs earliest) {
   if (pkt.src >= nodes_.size() || pkt.dst >= nodes_.size()) {
     throw std::out_of_range("Network::inject: unknown node id");
@@ -109,16 +126,14 @@ sim::Window Network::inject(Packet pkt, TimePs earliest) {
   const TimePs at_switch = up.end + config_.link_latency + config_.switch_latency;
   auto* dstp = &dst;
   const Topology& topo = config_.topology;
-  if (topo.single_switch() || topo.leaf_of(pkt.src) == topo.leaf_of(pkt.dst)) {
+  const bool local = topo.single_switch() || topo.leaf_of(pkt.src) == topo.leaf_of(pkt.dst);
+  const Slot slot = park(std::move(pkt));
+  if (local) {
     // Star, or both endpoints on one leaf: the first switch is also the
     // last — egress directly (the exact pre-fabric event sequence).
-    sim_.schedule_at(at_switch, [this, dstp, wire, p = std::move(pkt)]() mutable {
-      egress_to_node(dstp, wire, std::move(p));
-    });
+    sim_.schedule_at(at_switch, [this, dstp, wire, slot] { egress_to_node(dstp, wire, slot); });
   } else {
-    sim_.schedule_at(at_switch, [this, dstp, wire, p = std::move(pkt)]() mutable {
-      forward_at_leaf(dstp, wire, std::move(p));
-    });
+    sim_.schedule_at(at_switch, [this, dstp, wire, slot] { forward_at_leaf(dstp, wire, slot); });
   }
   return up;
 }
@@ -155,7 +170,8 @@ bool Network::trunk_transmit(SwitchId sw, SwitchId next, sim::GapServer& port, s
   return true;
 }
 
-void Network::forward_at_leaf(NodePort* dstp, std::size_t wire, Packet&& pkt) {
+void Network::forward_at_leaf(NodePort* dstp, std::size_t wire, Slot slot) {
+  const Packet& pkt = flight_[slot];
   const Topology& topo = config_.topology;
   const SwitchId src_leaf = topo.leaf_of(pkt.src);
   // ECMP: the spine is a pure function of (src, dst, msg_id) over the
@@ -164,29 +180,30 @@ void Network::forward_at_leaf(NodePort* dstp, std::size_t wire, Packet&& pkt) {
   sim::Window w;
   if (!trunk_transmit(src_leaf, spine, trunk(src_leaf, spine, /*up=*/true), wire, pkt,
                       "trunk-up", w)) {
+    release(slot);
     return;
   }
   const TimePs at_spine = w.end + config_.link_latency + config_.switch_latency;
-  sim_.schedule_at(at_spine, [this, spine, dstp, wire, p = std::move(pkt)]() mutable {
-    forward_at_spine(spine, dstp, wire, std::move(p));
-  });
+  sim_.schedule_at(at_spine,
+                   [this, spine, dstp, wire, slot] { forward_at_spine(spine, dstp, wire, slot); });
 }
 
-void Network::forward_at_spine(SwitchId spine, NodePort* dstp, std::size_t wire, Packet&& pkt) {
+void Network::forward_at_spine(SwitchId spine, NodePort* dstp, std::size_t wire, Slot slot) {
+  const Packet& pkt = flight_[slot];
   const Topology& topo = config_.topology;
   const SwitchId dst_leaf = topo.spine_next_hop(spine, topo.leaf_of(pkt.dst));
   sim::Window w;
   if (!trunk_transmit(spine, dst_leaf, trunk(dst_leaf, spine, /*up=*/false), wire, pkt,
                       "trunk-down", w)) {
+    release(slot);
     return;
   }
   const TimePs at_leaf = w.end + config_.link_latency + config_.switch_latency;
-  sim_.schedule_at(at_leaf, [this, dstp, wire, p = std::move(pkt)]() mutable {
-    egress_to_node(dstp, wire, std::move(p));
-  });
+  sim_.schedule_at(at_leaf, [this, dstp, wire, slot] { egress_to_node(dstp, wire, slot); });
 }
 
-void Network::egress_to_node(NodePort* dstp, std::size_t wire, Packet&& p) {
+void Network::egress_to_node(NodePort* dstp, std::size_t wire, Slot slot) {
+  Packet& p = flight_[slot];
   const Topology& topo = config_.topology;
   if (!topo.single_switch()) {
     // Fabric leaf egress: account the hop and enforce the finite port
@@ -204,6 +221,7 @@ void Network::egress_to_node(NodePort* dstp, std::size_t wire, Packet&& p) {
         if (tracer_)
           tracer_->record({p.dst, obs::kLaneDownlink, "net", "buffer_drop", corr_of(p), p.msg_id,
                            p.seq, p.data.size(), sim_.now(), sim_.now()});
+        release(slot);
         return;
       }
     }
@@ -216,6 +234,7 @@ void Network::egress_to_node(NodePort* dstp, std::size_t wire, Packet&& p) {
       if (tracer_)
         tracer_->record({p.dst, obs::kLaneDownlink, "net", "rx_drop", corr_of(p), p.msg_id,
                          p.seq, p.data.size(), sim_.now(), sim_.now()});
+      release(slot);
       return;
     }
     if (plan_.drop_rate() > 0 && fault_rng_.next_double() < plan_.drop_rate()) {
@@ -223,6 +242,7 @@ void Network::egress_to_node(NodePort* dstp, std::size_t wire, Packet&& p) {
       if (tracer_)
         tracer_->record({p.dst, obs::kLaneDownlink, "net", "random_drop", corr_of(p), p.msg_id,
                          p.seq, p.data.size(), sim_.now(), sim_.now()});
+      release(slot);
       return;
     }
     if (plan_.corrupt_rate() > 0 && fault_rng_.next_double() < plan_.corrupt_rate() &&
@@ -234,28 +254,32 @@ void Network::egress_to_node(NodePort* dstp, std::size_t wire, Packet&& p) {
     if (plan_.duplicate_rate() > 0 && fault_rng_.next_double() < plan_.duplicate_rate()) {
       ++fault_counters_.duplicates;
       // The original goes first, the copy rides right behind it on the
-      // downlink — never ahead of the packet it duplicates.
+      // downlink — never ahead of the packet it duplicates. The copy takes
+      // its own slot (parking may grow flight_, so copy out first).
       Packet copy(p);
-      deliver(dstp, wire, std::move(p));
-      deliver(dstp, wire, std::move(copy));
+      const Slot dup = park(std::move(copy));
+      deliver(dstp, wire, slot);
+      deliver(dstp, wire, dup);
       return;
     }
   }
-  deliver(dstp, wire, std::move(p));
+  deliver(dstp, wire, slot);
 }
 
-void Network::deliver(NodePort* dstp, std::size_t wire, Packet&& pkt) {
+void Network::deliver(NodePort* dstp, std::size_t wire, Slot slot) {
+  const Packet& pkt = flight_[slot];
   const auto down = dstp->downlink->reserve(wire);
   const TimePs arrival = down.end + config_.link_latency;
   if (tracer_)
     tracer_->record({pkt.dst, obs::kLaneDownlink, "net", opcode_name(pkt.opcode), corr_of(pkt),
                      pkt.msg_id, pkt.seq, pkt.data.size(), down.start, arrival});
-  auto* sink = dstp->sink;
-  auto* delivered = &dstp->delivered_payload;
-  const std::size_t payload = pkt.data.size();
-  sim_.schedule_at(arrival, [sink, delivered, payload, p2 = std::move(pkt)]() mutable {
-    *delivered += payload;
-    sink->on_packet(std::move(p2));
+  sim_.schedule_at(arrival, [this, dstp, slot] {
+    // Move the packet out before the sink runs: the sink may inject, which
+    // can grow flight_ and reuse this slot.
+    Packet p = std::move(flight_[slot]);
+    release(slot);
+    dstp->delivered_payload += p.data.size();
+    dstp->sink->on_packet(std::move(p));
   });
 }
 

@@ -90,6 +90,10 @@ class Network {
   /// Per-switch hop counters (valid for 0 <= sw < topology().switch_count()).
   const HopCounters& hop_counters(SwitchId sw) const { return hops_.at(sw); }
 
+  /// Packets parked in flight: injected (or duplicated) and neither
+  /// delivered nor dropped yet. 0 once the simulator has drained.
+  std::size_t in_flight_packets() const { return flight_.size() - free_slots_.size(); }
+
   /// Arm a fault plan. Resets the fault counters and reseeds the fault RNG
   /// from the plan. With no plan armed, inject() takes the exact pre-fault
   /// code path (no RNG draws), so fault-free digests are untouched.
@@ -133,15 +137,23 @@ class Network {
     std::uint64_t delivered_payload = 0;
   };
 
+  /// In-flight packets live in `flight_` from inject until delivery or a
+  /// drop, so hop events capture a slot index instead of a whole Packet
+  /// and fit EventFn's inline buffer (DESIGN.md §3j). The vector grows, so
+  /// only indices are held across events, never references.
+  using Slot = std::uint32_t;
+  Slot park(Packet&& pkt);
+  void release(Slot slot);
+
   /// Final-switch egress toward the destination node: destination
   /// reachability + seeded-rate faults, then downlink delivery. This is
   /// the star's at-switch block, shared verbatim by the fabric's last hop.
-  void egress_to_node(NodePort* dstp, std::size_t wire, Packet&& pkt);
-  void deliver(NodePort* dstp, std::size_t wire, Packet&& pkt);
+  void egress_to_node(NodePort* dstp, std::size_t wire, Slot slot);
+  void deliver(NodePort* dstp, std::size_t wire, Slot slot);
 
   /// Fabric hops (multi-switch only).
-  void forward_at_leaf(NodePort* dstp, std::size_t wire, Packet&& pkt);
-  void forward_at_spine(SwitchId spine, NodePort* dstp, std::size_t wire, Packet&& pkt);
+  void forward_at_leaf(NodePort* dstp, std::size_t wire, Slot slot);
+  void forward_at_spine(SwitchId spine, NodePort* dstp, std::size_t wire, Slot slot);
   /// Plan `wire` bytes on a trunk port of `sw`, enforcing the trunk fault
   /// window and the finite buffer; returns false (counted) when dropped.
   bool trunk_transmit(SwitchId sw, SwitchId next, sim::GapServer& port, std::size_t wire,
@@ -160,6 +172,8 @@ class Network {
   std::vector<std::unique_ptr<sim::GapServer>> trunk_down_;
   std::vector<HopCounters> hops_;   // one per switch
   TimePs max_port_queue_ = 0;       // transfer_time(port_buffer_bytes); 0 = unbounded
+  std::vector<Packet> flight_;      // in-flight packets, by slot
+  std::vector<Slot> free_slots_;    // released slots, reused LIFO
 
   bool faults_armed_ = false;
   FaultPlan plan_;

@@ -11,7 +11,6 @@
 //    RNG draws, or digests (digest-neutrality).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -23,47 +22,32 @@
 namespace nadfs::obs {
 
 /// Monotonic counter. Drop-in replacement for a `std::uint64_t` struct
-/// member: increments, compound adds, and implicit reads all behave like
-/// the raw integer did.
-///
-/// Increments are relaxed atomics, so a counter may be bumped from any
-/// thread. Relaxed RMW on x86 is a lock-prefixed add: a couple of ns on an
-/// uncontended line, invisible against the cost of an event.
+/// member: increments, compound adds, copies and implicit reads all behave
+/// like the raw integer did. A plain cell: every counter belongs to one
+/// simulation, and a simulation runs on one thread (parallel sweeps give
+/// each point its own cluster and merge snapshots, not counters).
 class Counter {
  public:
   constexpr Counter() = default;
   constexpr Counter(std::uint64_t v) : v_(v) {}  // NOLINT(google-explicit-constructor)
 
-  // Copyable like the plain integer it replaces (counter structs are
-  // value-reset with `{}`, hop-counter vectors get resized): a copy is a
-  // relaxed load into a fresh cell.
-  Counter(const Counter& other) : v_(other.value()) {}
-  Counter& operator=(const Counter& other) {
-    v_.store(other.value(), std::memory_order_relaxed);
-    return *this;
-  }
-
   Counter& operator++() {
-    v_.fetch_add(1, std::memory_order_relaxed);
+    ++v_;
     return *this;
   }
   Counter& operator+=(std::uint64_t n) {
-    v_.fetch_add(n, std::memory_order_relaxed);
+    v_ += n;
     return *this;
   }
-  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  operator std::uint64_t() const { return value(); }  // NOLINT
+  void inc(std::uint64_t n = 1) { v_ += n; }
+  std::uint64_t value() const { return v_; }
+  operator std::uint64_t() const { return v_; }  // NOLINT
 
-  /// Registry view of the raw cell. std::atomic<uint64_t> is
-  /// layout-compatible with its value type (asserted below); snapshots
-  /// run between events, so a plain load is exact.
-  const std::uint64_t* cell() const { return reinterpret_cast<const std::uint64_t*>(&v_); }
+  /// Registry view of the cell; snapshots run between events.
+  const std::uint64_t* cell() const { return &v_; }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
-  static_assert(sizeof(std::atomic<std::uint64_t>) == sizeof(std::uint64_t));
-  static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
+  std::uint64_t v_ = 0;
 };
 
 /// Counting-quantile sketch over simulated durations (picoseconds).

@@ -83,7 +83,7 @@ void InecTriEc::install_server(services::StorageNode& node) {
     }
     const TimePs xored =
         registry->engine->reserve(static_cast<std::size_t>(op.chunk_len) * op.ec_k, ready).end;
-    const TimePs durable_parity = node.nic().dma_to_storage(op.parity_addr, std::move(acc), xored);
+    const TimePs durable_parity = node.nic().dma_to_storage(op.parity_addr, acc, xored);
     node.nic().post_control(op.client, net::Opcode::kAck, op.greq, durable_parity);
     registry->parity_ops.erase(it);
   });

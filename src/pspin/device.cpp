@@ -1,6 +1,7 @@
 #include "pspin/device.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 namespace nadfs::pspin {
@@ -46,7 +47,8 @@ bool PsPinDevice::install(spin::ExecutionContext ctx) {
 
 void PsPinDevice::uninstall() { ctx_.reset(); }
 
-TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start) {
+TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start,
+                           ByteSpan packet) {
   TimePs cursor = start;
   std::uint64_t charged = 0;
   for (auto& cmd : ctx.commands()) {
@@ -69,10 +71,11 @@ TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start) {
       case spin::HandlerCtx::Cmd::Kind::kSendFromStorage: {
         // Scatter-gather send: the NIC gathers the payload over PCIe at
         // transmit time; the HPU does not block on the DMA, only on the
-        // command-queue slot. The gather pipelines with the wire.
+        // command-queue slot. The gather pipelines with the wire. The
+        // payload was filled functionally at record time; replay only
+        // times the gather.
         cursor = egress_.accept(cursor, sim_.now());
-        auto [data, ready] = nic_->dma_from_storage(cmd.addr, cmd.len, cursor);
-        (void)data;  // payload was filled functionally at record time
+        const TimePs ready = nic_->dma_read_ready(cmd.addr, cmd.len, cursor);
         const TimePs earliest = std::max({ready, msg.last_send_start + 1});
         const auto w = nic_->egress_send(std::move(cmd.pkt), earliest);
         msg.last_send_start = w.start;
@@ -82,7 +85,16 @@ TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start) {
       case spin::HandlerCtx::Cmd::Kind::kDma: {
         // Fire-and-forget toward the storage target; durability is tracked
         // per message for the CH's storage fence.
-        const TimePs durable = nic_->dma_to_storage(cmd.addr, std::move(cmd.data), cursor);
+        // A payload view must lie inside the dispatched packet, the only
+        // buffer that outlives this replay (DESIGN.md §3j).
+        const std::less_equal<const std::uint8_t*> le;
+        if (cmd.data.empty() && !cmd.view.empty() &&
+            !(le(packet.data(), cmd.view.data()) &&
+              le(cmd.view.data() + cmd.view.size(), packet.data() + packet.size()))) {
+          throw std::logic_error("PsPinDevice: DMA view outside the dispatched packet");
+        }
+        const ByteSpan data = cmd.data.empty() ? cmd.view : ByteSpan(cmd.data);
+        const TimePs durable = nic_->dma_to_storage(cmd.addr, data, cursor);
         msg.dma_durable_max = std::max(msg.dma_durable_max, durable);
         break;
       }
@@ -95,9 +107,9 @@ TimePs PsPinDevice::replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start) {
         break;
       }
       case spin::HandlerCtx::Cmd::Kind::kDmaRead: {
-        auto [data, done] = nic_->dma_from_storage(cmd.addr, cmd.len, cursor);
-        (void)data;  // functional bytes were already delivered at record time
-        cursor = std::max(cursor, done);
+        // The bytes were delivered at record time; the HPU blocks until
+        // the timed read completes.
+        cursor = std::max(cursor, nic_->dma_read_ready(cmd.addr, cmd.len, cursor));
         break;
       }
       case spin::HandlerCtx::Cmd::Kind::kFence: {
@@ -121,13 +133,17 @@ TimePs PsPinDevice::run_handler(spin::HandlerType type, const spin::Handler& han
   const TimePs start = std::max(ready, *it) + config_.hpu_dispatch;
 
   spin::HandlerCtx ctx(nic_->node_id(), start, msg.flow_slot);
+  ctx.record_into(std::move(cmd_buf_));
   ctx.set_storage_reader(
       [this](std::uint64_t addr, std::size_t len) { return nic_->peek_storage(addr, len); });
   ctx.set_storage_prober(
       [this](std::uint64_t addr, std::uint64_t len) { return nic_->storage_trimmed(addr, len); });
   handler(ctx, pkt);
 
-  const TimePs end = replay(ctx, msg, start);
+  // `pkt` outlives the replay, so commands may view its payload.
+  const TimePs end = replay(ctx, msg, start, pkt.data);
+  cmd_buf_ = ctx.take_commands();
+  cmd_buf_.clear();
   *it = end;
   stats_.record(type, end - start, ctx.instr());
   last_handler_end_ = std::max(last_handler_end_, end);
@@ -238,8 +254,11 @@ void PsPinDevice::run_cleanup(const spin::MessageKey& key) {
   const TimePs start = std::max(sim_.now(), *hpu) + config_.hpu_dispatch;
 
   spin::HandlerCtx ctx(nic_->node_id(), start, msg.flow_slot);
+  ctx.record_into(std::move(cmd_buf_));
   ctx_->cleanup_handler(ctx, key);
-  const TimePs end = replay(ctx, msg, start);
+  const TimePs end = replay(ctx, msg, start, {});  // no packet: no views
+  cmd_buf_ = ctx.take_commands();
+  cmd_buf_.clear();
   if (span_trace_) {
     span_trace_->record({nic_->node_id(),
                          msg.cluster * 1000 +

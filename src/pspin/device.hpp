@@ -164,8 +164,9 @@ class PsPinDevice {
                      const net::Packet& pkt, MsgState& msg, TimePs ready);
 
   /// Replay a recorded context timeline starting at `start`; returns the
-  /// end time.
-  TimePs replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start);
+  /// end time. `packet` is the dispatched packet's bytes (empty for a
+  /// cleanup run): every payload DMA view must lie inside it.
+  TimePs replay(spin::HandlerCtx& ctx, MsgState& msg, TimePs start, ByteSpan packet);
 
   void maybe_run_completion(const spin::MessageKey& key, MsgState& msg);
   void arm_cleanup(const spin::MessageKey& key);
@@ -183,6 +184,10 @@ class PsPinDevice {
   std::vector<std::vector<TimePs>> hpu_free_;             // per cluster, per HPU
 
   EgressQueue egress_;  // bounded egress command queue
+
+  // Command buffer lent to each handler run and taken back (and cleared)
+  // after replay, so recording reuses its capacity.
+  std::vector<spin::HandlerCtx::Cmd> cmd_buf_;
 
   std::unordered_map<spin::MessageKey, MsgState, spin::MessageKeyHash> messages_;
   unsigned next_cluster_ = 0;

@@ -175,7 +175,7 @@ sim::Window Nic::egress_send(net::Packet pkt, TimePs ready) {
   return w;
 }
 
-TimePs Nic::dma_to_storage(std::uint64_t addr, Bytes data, TimePs ready) {
+TimePs Nic::dma_to_storage(std::uint64_t addr, ByteSpan data, TimePs ready) {
   const std::uint64_t bytes = data.size();
   const auto w = pcie_.reserve(data.size(), ready);
   const TimePs durable = memory_.write(addr, data, w.end + config_.pcie_latency);
@@ -203,8 +203,18 @@ std::pair<Bytes, TimePs> Nic::dma_from_storage(std::uint64_t addr, std::size_t l
   // medium has the bytes. The line-rate engine returns `ready` unchanged,
   // keeping this path bit-identical to the pre-engine model.
   auto r = memory_.read_at(addr, len, ready);
-  const auto w = pcie_.reserve(len, r.ready + config_.pcie_latency);
-  return {std::move(r.data), w.end + config_.pcie_latency};
+  return {std::move(r.data), pcie_read_done(len, r.ready)};
+}
+
+TimePs Nic::dma_read_ready(std::uint64_t addr, std::size_t len, TimePs ready) {
+  // dma_from_storage's reservations without the copy: the engine's
+  // read_ready charges exactly what read_at would (DESIGN.md §3j).
+  return pcie_read_done(len, memory_.read_ready(addr, len, ready));
+}
+
+TimePs Nic::pcie_read_done(std::size_t len, TimePs media_ready) {
+  const auto w = pcie_.reserve(len, media_ready + config_.pcie_latency);
+  return w.end + config_.pcie_latency;
 }
 
 Bytes Nic::peek_storage(std::uint64_t addr, std::size_t len) { return memory_.read(addr, len); }

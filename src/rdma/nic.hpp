@@ -159,9 +159,12 @@ class Nic : public net::PacketSink, public spin::NicServices {
 
   // ---- spin::NicServices ------------------------------------------------
   sim::Window egress_send(net::Packet pkt, TimePs ready) override;
-  TimePs dma_to_storage(std::uint64_t addr, Bytes data, TimePs ready) override;
-  std::pair<Bytes, TimePs> dma_from_storage(std::uint64_t addr, std::size_t len,
-                                            TimePs ready) override;
+  TimePs dma_to_storage(std::uint64_t addr, ByteSpan data, TimePs ready) override;
+  TimePs dma_read_ready(std::uint64_t addr, std::size_t len, TimePs ready) override;
+  /// Data-moving DMA read for NIC-side protocols that use the bytes
+  /// (INEC's triggered encode): the same timing as dma_read_ready, plus
+  /// the data.
+  std::pair<Bytes, TimePs> dma_from_storage(std::uint64_t addr, std::size_t len, TimePs ready);
   Bytes peek_storage(std::uint64_t addr, std::size_t len) override;
   TimePs trim_storage(std::uint64_t addr, std::uint64_t len, TimePs ready) override;
   bool storage_trimmed(std::uint64_t addr, std::uint64_t len) override;
@@ -212,6 +215,9 @@ class Nic : public net::PacketSink, public spin::NicServices {
   void host_path_send(net::Packet&& pkt);
   void host_path_dfs_request(net::Packet&& pkt);
   void fire_trigger(const TriggeredWrite& trig, const Assembly& as, TimePs when);
+  /// The PCIe leg of a storage DMA read once the medium has the bytes at
+  /// `media_ready`; returns when they reach the NIC.
+  TimePs pcie_read_done(std::size_t len, TimePs media_ready);
 
   sim::Simulator& sim_;
   net::Network& net_;

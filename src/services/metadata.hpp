@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -227,9 +226,6 @@ class MetadataService {
   std::vector<net::NodeId> nodes_;
   std::vector<std::uint64_t> alloc_ptr_;  ///< bump allocator per node
   std::unordered_map<std::string, FileLayout> files_;
-  /// Logical length by name, guarded by lengths_mu_ so length updates
-  /// and stat reads are safe from any thread.
-  mutable std::mutex lengths_mu_;
   std::unordered_map<std::string, std::uint64_t> lengths_;  ///< logical length by name
   std::set<net::NodeId> excluded_;  ///< failed nodes, out of placement
   std::map<net::NodeId, unsigned> held_;  ///< partition holds (refcounted)

@@ -44,7 +44,7 @@ class EventQueue {
       slots_[slot] = std::move(payload);
     }
     heap_.push_back(Key{when, next_seq_, slot});
-    std::push_heap(heap_.begin(), heap_.end(), after);
+    std::push_heap(heap_.begin(), heap_.end(), After{});
     return next_seq_++;
   }
 
@@ -54,7 +54,7 @@ class EventQueue {
 
   /// Remove and return the earliest entry. Precondition: !empty().
   Entry pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), after);
+    std::pop_heap(heap_.begin(), heap_.end(), After{});
     const Key top = heap_.back();
     heap_.pop_back();
     free_.push_back(top.slot);
@@ -65,10 +65,14 @@ class EventQueue {
   std::size_t size() const { return heap_.size(); }
 
  private:
-  // std:: heap algorithms build max-heaps; ordering by "after" gives a min-heap.
-  static bool after(const Key& a, const Key& b) {
-    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-  }
+  // std:: heap algorithms build max-heaps; ordering by "after" gives a
+  // min-heap. A stateless function object (not a function pointer) so the
+  // sifts inline the comparison.
+  struct After {
+    bool operator()(const Key& a, const Key& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+  };
 
   std::vector<Key> heap_;
   std::vector<Payload> slots_;

@@ -11,9 +11,11 @@
 // the queue is the single busiest data structure in the whole repo. Two
 // choices keep it allocation-lean:
 //  - EventFn is a move-only callable with inline storage (kInlineBytes);
-//    typical capture lists (this + a few scalars, or a moved-in Packet
-//    header struct) fit inline and never touch the heap. Oversized
-//    callables transparently fall back to a heap allocation.
+//    typical capture lists (this + a few scalars or indices) fit inline
+//    and never touch the heap. A whole net::Packet (80 B) does not fit, so
+//    the network parks in-flight packets in a slab and its hop events
+//    capture a slot index (DESIGN.md §3j). Oversized callables
+//    transparently fall back to a heap allocation.
 //  - The priority queue is a binary min-heap of (time, seq, slot) keys
 //    over recycled payload slots (sim/event_queue.hpp): sifts move 24-byte
 //    keys, never the callables. The benchmark workloads peak at ~16k

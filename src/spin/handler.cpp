@@ -1,5 +1,7 @@
 #include "spin/handler.hpp"
 
+#include <stdexcept>
+
 namespace nadfs::spin {
 
 const char* handler_type_name(HandlerType t) {
@@ -25,6 +27,19 @@ void HandlerCtx::dma_to_storage(std::uint64_t addr, Bytes data) {
   cmd.cycle_offset = cycles_;
   cmd.addr = addr;
   cmd.data = std::move(data);
+  cmds_.push_back(std::move(cmd));
+}
+
+void HandlerCtx::dma_payload_to_storage(std::uint64_t addr, const net::Packet& pkt,
+                                        std::size_t offset) {
+  if (offset > pkt.data.size()) {
+    throw std::out_of_range("HandlerCtx::dma_payload_to_storage: offset beyond the packet");
+  }
+  Cmd cmd;
+  cmd.kind = Cmd::Kind::kDma;
+  cmd.cycle_offset = cycles_;
+  cmd.addr = addr;
+  cmd.view = ByteSpan(pkt.data).subspan(offset);
   cmds_.push_back(std::move(cmd));
 }
 

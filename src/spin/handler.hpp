@@ -68,7 +68,16 @@ class HandlerCtx {
   void send(net::Packet pkt);
 
   /// Write `data` to the storage target at `addr` via the NIC DMA engine.
+  /// The context owns the bytes until replay.
   void dma_to_storage(std::uint64_t addr, Bytes data);
+
+  /// Write the handled packet's bytes from `offset` to its end (its
+  /// payload) to storage at `addr` by view: nothing is copied. `pkt` must be
+  /// the packet this handler was dispatched with, which stays alive until
+  /// the device has replayed the run; replay rejects a view that lies
+  /// outside it (std::logic_error). Handler state goes through the owning
+  /// dma_to_storage above.
+  void dma_payload_to_storage(std::uint64_t addr, const net::Packet& pkt, std::size_t offset);
 
   /// Block (at replay) until every storage DMA issued so far *for this
   /// message* is durable — the explicit-flush persistence guarantee of
@@ -116,7 +125,8 @@ class HandlerCtx {
     net::Packet pkt;             // kSend
     std::uint64_t addr = 0;      // kDma / kDmaRead / kTrim
     std::size_t len = 0;         // kDmaRead / kTrim
-    Bytes data;                  // kDma
+    Bytes data;                  // kDma, owned
+    ByteSpan view;               // kDma, packet payload (used when `data` is empty)
     std::uint64_t code = 0;      // kNotify
     std::uint64_t arg = 0;       // kNotify
   };
@@ -135,6 +145,16 @@ class HandlerCtx {
   std::uint64_t cycles() const { return cycles_; }
   const std::vector<Cmd>& commands() const { return cmds_; }
   std::vector<Cmd>& commands() { return cmds_; }
+
+  /// Record into `buffer` (cleared, its capacity kept) instead of a fresh
+  /// vector. The device lends one buffer to every run and takes it back
+  /// with take_commands() after replay, so recording stops allocating once
+  /// the buffer has grown to the largest run.
+  void record_into(std::vector<Cmd> buffer) {
+    cmds_ = std::move(buffer);
+    cmds_.clear();
+  }
+  std::vector<Cmd> take_commands() { return std::move(cmds_); }
 
  private:
   net::NodeId self_;

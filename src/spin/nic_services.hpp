@@ -26,16 +26,18 @@ class NicServices {
 
   /// DMA `data` to the storage target at `addr`, starting no earlier than
   /// `ready`. Returns the time the data is durable (post PCIe + media).
-  virtual TimePs dma_to_storage(std::uint64_t addr, Bytes data, TimePs ready) = 0;
+  /// The bytes are consumed before the call returns.
+  virtual TimePs dma_to_storage(std::uint64_t addr, ByteSpan data, TimePs ready) = 0;
 
-  /// Read `len` bytes from the storage target across PCIe, starting no
-  /// earlier than `ready`. Returns the data and the completion time.
-  virtual std::pair<Bytes, TimePs> dma_from_storage(std::uint64_t addr, std::size_t len,
-                                                    TimePs ready) = 0;
+  /// Time a `len`-byte DMA read from the storage target across PCIe,
+  /// starting no earlier than `ready`, and return its completion time. It
+  /// reserves exactly what a data-moving read would but copies no bytes:
+  /// the handler already got them at record time via peek_storage.
+  virtual TimePs dma_read_ready(std::uint64_t addr, std::size_t len, TimePs ready) = 0;
 
   /// Functional (zero-time) read of the storage target's current contents;
   /// used for the handlers' record-phase data. Timing for the same access is
-  /// charged at replay via dma_from_storage.
+  /// charged at replay via dma_read_ready.
   virtual Bytes peek_storage(std::uint64_t addr, std::size_t len) = 0;
 
   /// Tombstone [addr, addr+len) on the storage target (DFS delete data

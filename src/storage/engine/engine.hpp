@@ -103,6 +103,15 @@ class StorageEngine {
   /// amplification) here; LineRateEngine returns `earliest` unchanged.
   virtual TimedRead read_at(std::uint64_t addr, std::size_t len, TimePs earliest) = 0;
 
+  /// read_at(...).ready without the bytes: the same ready time, and the
+  /// same device reservations and counters, so a caller that already has
+  /// the data can time the read for free. The default is exact by
+  /// construction (it calls read_at); flat engines override it to skip the
+  /// copy, and their read_at calls it, so each keeps one timing path.
+  virtual TimePs read_ready(std::uint64_t addr, std::size_t len, TimePs earliest) {
+    return read_at(addr, len, earliest).ready;
+  }
+
   /// Functional zero of [addr, addr+len) (tombstone bookkeeping stays in
   /// Target); returns the time the trim command is durable.
   virtual TimePs trim(std::uint64_t addr, std::uint64_t len, TimePs earliest) = 0;

@@ -27,10 +27,12 @@ class LineRateEngine final : public StorageEngine {
   }
 
   TimedRead read_at(std::uint64_t addr, std::size_t len, TimePs earliest) override {
-    // Reads are free at line rate: the media-ready time is the caller's
-    // ready time, exactly as the pre-engine model behaved.
-    return {pages_.read(addr, len), earliest};
+    return {pages_.read(addr, len), read_ready(addr, len, earliest)};
   }
+
+  // Reads are free at line rate: the media-ready time is the caller's
+  // ready time, exactly as the pre-engine model behaved.
+  TimePs read_ready(std::uint64_t, std::size_t, TimePs earliest) override { return earliest; }
 
   TimePs trim(std::uint64_t addr, std::uint64_t len, TimePs earliest) override {
     pages_.zero(addr, len);

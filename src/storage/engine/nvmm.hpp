@@ -28,9 +28,12 @@ class NvmmEngine final : public StorageEngine {
   }
 
   TimedRead read_at(std::uint64_t addr, std::size_t len, TimePs earliest) override {
+    return {pages_.read(addr, len), read_ready(addr, len, earliest)};
+  }
+
+  TimePs read_ready(std::uint64_t, std::size_t len, TimePs earliest) override {
     read_bytes_ += len;
-    const auto w = device_.reserve(len, earliest);
-    return {pages_.read(addr, len), w.end + cfg_.read_latency};
+    return device_.reserve(len, earliest).end + cfg_.read_latency;
   }
 
   TimePs trim(std::uint64_t addr, std::uint64_t len, TimePs earliest) override {

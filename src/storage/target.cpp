@@ -87,6 +87,13 @@ StorageEngine::TimedRead Target::read_at(std::uint64_t addr, std::size_t len, Ti
   return engine_->read_at(addr, len, earliest);
 }
 
+TimePs Target::read_ready(std::uint64_t addr, std::size_t len, TimePs earliest) {
+  if (addr + len > config_.capacity) {
+    throw std::out_of_range("storage::Target::read: beyond capacity");
+  }
+  return engine_->read_ready(addr, len, earliest);
+}
+
 void Target::bind_metrics(obs::MetricRegistry& reg, const std::string& prefix) {
   reg.counter_cell(prefix + ".bytes_written", &bytes_written_);
   reg.counter_cell(prefix + ".bytes_trimmed", &bytes_trimmed_);

@@ -48,6 +48,10 @@ class Target {
   /// read amplification here; the line-rate backend returns `earliest`.
   StorageEngine::TimedRead read_at(std::uint64_t addr, std::size_t len, TimePs earliest = 0);
 
+  /// read_at's ready time and device charge without producing the bytes
+  /// (replay of reads whose data was already taken by a functional peek).
+  TimePs read_ready(std::uint64_t addr, std::size_t len, TimePs earliest = 0);
+
   /// Tombstone [addr, addr+len): the data-plane half of a DFS delete. The
   /// backing bytes are zeroed and the range is remembered so a later access
   /// can be answered kNotFound instead of silently reading zeros; write()

@@ -26,13 +26,12 @@ class FakeNic : public spin::NicServices {
     sent.push_back(std::move(pkt));
     return {ready, ready + ns(41)};
   }
-  TimePs dma_to_storage(std::uint64_t addr, Bytes data, TimePs ready) override {
+  TimePs dma_to_storage(std::uint64_t addr, ByteSpan data, TimePs ready) override {
     std::copy(data.begin(), data.end(), storage.begin() + static_cast<std::ptrdiff_t>(addr));
     return ready + ns(250);
   }
-  std::pair<Bytes, TimePs> dma_from_storage(std::uint64_t addr, std::size_t len,
-                                            TimePs ready) override {
-    return {peek_storage(addr, len), ready + ns(250)};
+  TimePs dma_read_ready(std::uint64_t, std::size_t, TimePs ready) override {
+    return ready + ns(250);
   }
   Bytes peek_storage(std::uint64_t addr, std::size_t len) override {
     return Bytes(storage.begin() + static_cast<std::ptrdiff_t>(addr),

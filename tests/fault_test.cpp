@@ -172,6 +172,7 @@ TEST(FaultNet, UnarmedNetworkDeliversEverything) {
   Rig rig;
   for (int i = 0; i < 10; ++i) rig.net.inject(mk(rig.na, rig.nb, Bytes(64, 7)));
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(rig.b.pkts.size(), 10u);
   EXPECT_FALSE(rig.net.faults_armed());
   EXPECT_EQ(rig.net.fault_counters().total_dropped(), 0u);
@@ -189,6 +190,7 @@ TEST(FaultNet, DeadSourceDropsAtInjection) {
     EXPECT_EQ(w.start, w.end);  // empty serialization window
   });
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(rig.b.pkts.size(), 1u);
   EXPECT_EQ(rig.net.fault_counters().tx_drops, 1u);
   EXPECT_EQ(rig.net.fault_counters().rx_drops, 0u);
@@ -203,6 +205,7 @@ TEST(FaultNet, DeadDestinationDropsAtSwitch) {
   rig.net.inject(mk(rig.na, rig.nb));
   rig.sim.schedule(us(2), [&] { rig.net.inject(mk(rig.na, rig.nb)); });
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(rig.b.pkts.size(), 1u);
   EXPECT_EQ(rig.net.fault_counters().rx_drops, 1u);
 }
@@ -216,6 +219,7 @@ TEST(FaultNet, LinkDownWindowDropsThenRecovers) {
   rig.sim.schedule(us(2), [&] { rig.net.inject(mk(rig.na, rig.nb)); });  // in window
   rig.sim.schedule(us(4), [&] { rig.net.inject(mk(rig.na, rig.nb)); });  // recovered
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(rig.b.pkts.size(), 1u);
   EXPECT_EQ(rig.net.fault_counters().rx_drops, 1u);
 }
@@ -229,6 +233,7 @@ TEST(FaultNet, SeededDropRateIsDeterministic) {
     rig.net.install_faults(plan);
     for (int i = 0; i < 1000; ++i) rig.net.inject(mk(rig.na, rig.nb, Bytes(32, 1)));
     rig.sim.run();
+    EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
     return std::pair<std::size_t, std::uint64_t>{rig.b.pkts.size(),
                                                  rig.net.fault_counters().random_drops};
   };
@@ -273,6 +278,7 @@ TEST(FaultNet, DuplicateDeliversOriginalFirstCopyBehind) {
   const TimePs ser = net.config().link_bandwidth.transfer_time(p.wire_size());
   net.inject(std::move(p));
   sim.run();
+  EXPECT_EQ(net.in_flight_packets(), 0u);
 
   ASSERT_EQ(b.pkts.size(), 2u);
   EXPECT_EQ(net.fault_counters().duplicates, 1u);
@@ -305,6 +311,7 @@ TEST(FaultNet, TxReachabilityDecidedAtSerializationStart) {
     rig.net.inject(std::move(p));
   }
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(rig.b.pkts.size(), 3u);
   EXPECT_EQ(rig.net.fault_counters().tx_drops, 5u);
   for (std::size_t i = 0; i < rig.b.pkts.size(); ++i) {
@@ -328,6 +335,7 @@ TEST(FaultNet, RestartReadmitsTrafficBothDirections) {
   rig.sim.schedule(us(5), [&] { rig.net.inject(mk(rig.na, rig.nb)); });  // revived: delivered
   rig.sim.schedule(us(6), [&] { rig.net.inject(mk(rig.nb, rig.na)); });  // revived: delivered
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(rig.b.pkts.size(), 1u);
   EXPECT_EQ(rig.a.pkts.size(), 1u);
   EXPECT_EQ(rig.net.fault_counters().tx_drops, 1u);
@@ -347,6 +355,7 @@ TEST(FaultNet, MidRunRestartViaFaultsAccessor) {
   });
   rig.sim.schedule(us(4), [&] { rig.net.inject(mk(rig.na, rig.nb)); });
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(rig.b.pkts.size(), 1u);
   EXPECT_EQ(rig.net.fault_counters().tx_drops, 1u);
 }
@@ -358,6 +367,7 @@ TEST(FaultNet, DuplicateRateDeliversCopies) {
   rig.net.install_faults(plan);
   for (int i = 0; i < 5; ++i) rig.net.inject(mk(rig.na, rig.nb, Bytes(16, 9)));
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(rig.b.pkts.size(), 10u);
   EXPECT_EQ(rig.net.fault_counters().duplicates, 5u);
 }
@@ -372,6 +382,7 @@ TEST(FaultNet, CorruptionFlipsPayloadBytes) {
   // Empty payloads cannot be corrupted (the draw still happens).
   rig.net.inject(mk(rig.na, rig.nb));
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   ASSERT_EQ(rig.b.pkts.size(), 9u);
   EXPECT_EQ(rig.net.fault_counters().corruptions, 8u);
   for (std::size_t i = 0; i < 8; ++i) {
@@ -396,6 +407,7 @@ TEST(FaultNet, FaultsAccessorArmsAndAllowsMidRunKills) {
   });
   rig.sim.schedule(us(3), [&] { rig.net.inject(mk(rig.na, rig.nb)); });  // dropped
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(rig.b.pkts.size(), 2u);
   EXPECT_EQ(rig.net.fault_counters().rx_drops, 1u);
 }
@@ -421,6 +433,7 @@ TEST(FaultNet, MutateFaultsLandsOneLinkLatencyLater) {
   rig.sim.schedule_at(t + lat - 1, [&] { before = rig.net.faults().reachable(rig.nb, t); });
   rig.sim.schedule_at(t + lat + 1, [&] { after = rig.net.faults().reachable(rig.nb, t); });
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(applied_at, t + lat);
   EXPECT_TRUE(in_caller);
   EXPECT_TRUE(before);
@@ -434,11 +447,13 @@ TEST(FaultNet, InstallResetsCountersAndRng) {
   rig.net.install_faults(plan);
   for (int i = 0; i < 3; ++i) rig.net.inject(mk(rig.na, rig.nb));
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(rig.net.fault_counters().random_drops, 3u);
   rig.net.install_faults(net::FaultPlan{});
   EXPECT_EQ(rig.net.fault_counters().random_drops, 0u);
   rig.net.inject(mk(rig.na, rig.nb));
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(rig.b.pkts.size(), 1u);
 }
 

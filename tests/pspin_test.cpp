@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "pspin/device.hpp"
 #include "sim/simulator.hpp"
@@ -39,13 +40,12 @@ class FakeNic : public spin::NicServices {
     sent.push_back(SentRecord{std::move(pkt), ready});
     return {start, end};
   }
-  TimePs dma_to_storage(std::uint64_t addr, Bytes data, TimePs ready) override {
+  TimePs dma_to_storage(std::uint64_t addr, ByteSpan data, TimePs ready) override {
     std::copy(data.begin(), data.end(), storage.begin() + static_cast<std::ptrdiff_t>(addr));
     return ready + dma_latency;
   }
-  std::pair<Bytes, TimePs> dma_from_storage(std::uint64_t addr, std::size_t len,
-                                            TimePs ready) override {
-    return {peek_storage(addr, len), ready + dma_latency};
+  TimePs dma_read_ready(std::uint64_t, std::size_t, TimePs ready) override {
+    return ready + dma_latency;
   }
   Bytes peek_storage(std::uint64_t addr, std::size_t len) override {
     return Bytes(storage.begin() + static_cast<std::ptrdiff_t>(addr),
@@ -265,6 +265,56 @@ TEST(PsPinDevice, FunctionalDataReachesStorage) {
   EXPECT_EQ(nic.storage[100], 1);
   EXPECT_EQ(nic.storage[100 + 2048], 2);
   EXPECT_EQ(nic.storage[100 + 4096], 3);
+}
+
+TEST(PsPinDevice, PayloadViewDmaSkipsTheHeader) {
+  sim::Simulator sim;
+  FakeNic nic(sim);
+  PsPinDevice dev(sim);
+  dev.attach_nic(nic);
+
+  spin::ExecutionContext ctx;
+  ctx.header_handler = [](HandlerCtx& c, const net::Packet&) { c.charge(1, 1); };
+  ctx.completion_handler = [](HandlerCtx& c, const net::Packet&) { c.charge(1, 1); };
+  ctx.payload_handler = [](HandlerCtx& c, const net::Packet& p) {
+    c.charge(1, 1);
+    c.dma_payload_to_storage(100, p, 16);  // the bytes after a 16-byte header
+    EXPECT_THROW(c.dma_payload_to_storage(0, p, p.data.size() + 1), std::out_of_range);
+  };
+  dev.install(std::move(ctx));
+  auto p = make_packet(1, 0, 1, 64);
+  for (std::size_t i = 0; i < p.data.size(); ++i) p.data[i] = static_cast<std::uint8_t>(i);
+  dev.on_packet(std::move(p));
+  sim.run();
+  EXPECT_EQ(nic.storage[99], 0);
+  EXPECT_EQ(nic.storage[100], 16);
+  EXPECT_EQ(nic.storage[100 + 47], 63);
+  EXPECT_EQ(nic.storage[100 + 48], 0);
+}
+
+TEST(PsPinDevice, PayloadViewOutsideTheDispatchedPacketIsRejected) {
+  // A view must point into the packet the handler was dispatched with: a
+  // packet kept in handler state may change or die before replay.
+  sim::Simulator sim;
+  FakeNic nic(sim);
+  PsPinDevice dev(sim);
+  dev.attach_nic(nic);
+
+  auto held = std::make_shared<net::Packet>(make_packet(7, 0, 1));
+  spin::ExecutionContext ctx;
+  ctx.header_handler = [](HandlerCtx& c, const net::Packet&) { c.charge(1, 1); };
+  ctx.completion_handler = [](HandlerCtx& c, const net::Packet&) { c.charge(1, 1); };
+  ctx.payload_handler = [held](HandlerCtx& c, const net::Packet&) {
+    c.charge(1, 1);
+    c.dma_payload_to_storage(0, *held, 0);
+  };
+  dev.install(std::move(ctx));
+  EXPECT_THROW(
+      {
+        dev.on_packet(make_packet(1, 0, 1));
+        sim.run();
+      },
+      std::logic_error);
 }
 
 TEST(PsPinDevice, ReadStorageBlocksReplay) {

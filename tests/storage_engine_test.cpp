@@ -6,6 +6,8 @@
 //  - BetaTree.*: the write-optimized engine's moving parts — memtable
 //    freeze/flush, fanout-triggered compaction, range-delete shadowing,
 //    buffer-full stalls — plus cluster-level digest determinism.
+//  - StorageEngineReadTiming.*: the timing-only read_ready() against
+//    read_at(...).ready on twin engines, per backend.
 //  - EngineEquivalence.*: the refactor-safety nets. The line-rate engine
 //    is compared op-for-op against an inline re-implementation of the
 //    pre-engine Target (same GapServer use, flat byte oracle), and the
@@ -463,6 +465,84 @@ TEST(EngineEquivalence, BetaTreeRandomizedTimingDigestIsReproducible) {
   };
   EXPECT_EQ(run_once(), run_once()) << "seed " << seed;
 }
+
+// ------------------------------------------------- StorageEngineReadTiming
+
+/// Differential check of the timing-only read (DESIGN.md §3j): replay
+/// times a read with read_ready() because the handler already holds the
+/// bytes. Twin engines run the same seeded stream of writes, trims and
+/// reads; on every read one twin calls read_ready and the other
+/// read_at(...).ready. The two times must match, and so must the probe
+/// write issued right after at the same instant (the next reservation on
+/// the device), every later durable time, the final metric snapshots and
+/// the background event counts.
+void expect_read_ready_matches_read_at(const EngineConfig& cfg, std::uint64_t seed) {
+  constexpr std::size_t kSpan = 192 * KiB;
+  constexpr int kOps = 6000;
+  const Bandwidth ingest = Bandwidth::from_gbytes_per_sec(4.0);
+  sim::Simulator sim_a;
+  sim::Simulator sim_b;
+  const auto a = make_engine(sim_a, cfg, ingest);  // read_ready
+  const auto b = make_engine(sim_b, cfg, ingest);  // read_at(...).ready
+  Rng rng(seed);
+  TimePs clock = 0;
+  int reads = 0;
+  for (int op = 0; op < kOps; ++op) {
+    clock += rng.next_below(ns(400));
+    sim_a.run_until(clock);
+    sim_b.run_until(clock);
+    const std::uint64_t addr = rng.next_below(kSpan - 8 * KiB);
+    const std::size_t len = 1 + static_cast<std::size_t>(rng.next_below(8 * KiB));
+    const auto pick = rng.next_below(20);
+    if (pick < 2) {
+      ASSERT_EQ(a->trim(addr, len, clock), b->trim(addr, len, clock))
+          << "op " << op << " trim, seed " << seed;
+    } else if (pick < 11) {
+      const Bytes data = random_bytes(len, seed ^ (static_cast<std::uint64_t>(op) << 24));
+      ASSERT_EQ(a->write(addr, data, clock), b->write(addr, data, clock))
+          << "op " << op << " write, seed " << seed;
+    } else {
+      ++reads;
+      const TimePs ready = a->read_ready(addr, len, clock);
+      const auto timed = b->read_at(addr, len, clock);
+      ASSERT_EQ(ready, timed.ready) << "op " << op << " read, seed " << seed;
+      ASSERT_EQ(a->read(addr, len), timed.data) << "op " << op << " read data, seed " << seed;
+      // Both reads must leave the device budget in the same state.
+      const std::uint64_t probe = rng.next_below(kSpan - KiB);
+      const Bytes one(KiB, static_cast<std::uint8_t>(op));
+      ASSERT_EQ(a->write(probe, one, clock), b->write(probe, one, clock))
+          << "op " << op << " probe write after read, seed " << seed;
+    }
+  }
+  EXPECT_GT(reads, kOps / 3) << "seed " << seed;
+  EXPECT_EQ(sim_a.run(), sim_b.run()) << "seed " << seed;
+  EXPECT_EQ(sim_a.executed_events(), sim_b.executed_events()) << "seed " << seed;
+  obs::MetricRegistry reg_a;
+  obs::MetricRegistry reg_b;
+  a->bind_metrics(reg_a, "engine");
+  b->bind_metrics(reg_b, "engine");
+  EXPECT_EQ(reg_a.snapshot(), reg_b.snapshot()) << "seed " << seed;
+  EXPECT_EQ(a->read(0, kSpan), b->read(0, kSpan)) << "seed " << seed;
+}
+
+void run_read_timing_seeds(const EngineConfig& cfg, std::uint64_t salt) {
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    const std::uint64_t seed = env_seed() * 1000003 + salt * 101 + k;
+    expect_read_ready_matches_read_at(cfg, seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(StorageEngineReadTiming, LineRate) { run_read_timing_seeds(EngineConfig{}, 1); }
+
+TEST(StorageEngineReadTiming, Nvmm) {
+  EngineConfig cfg;
+  cfg.kind = EngineKind::kNvmm;
+  cfg.device_bandwidth = Bandwidth::from_gbytes_per_sec(2.0);
+  run_read_timing_seeds(cfg, 2);
+}
+
+TEST(StorageEngineReadTiming, BetaTree) { run_read_timing_seeds(betree_config(), 3); }
 
 }  // namespace
 }  // namespace nadfs::storage

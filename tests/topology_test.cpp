@@ -133,6 +133,7 @@ TEST(FabricNet, SameLeafTrafficStaysLocal) {
   const TimePs ser = rig.net.config().link_bandwidth.transfer_time(p.wire_size());
   rig.net.inject(std::move(p));
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   ASSERT_EQ(rig.sinks[2]->pkts.size(), 1u);
   const auto& cfg = rig.net.config();
   // node->leaf ser + link + switch, then leaf->node ser + link.
@@ -151,6 +152,7 @@ TEST(FabricNet, CrossLeafTakesStoreAndForwardHops) {
   const TimePs ser = rig.net.config().link_bandwidth.transfer_time(wire);
   rig.net.inject(std::move(p));
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   ASSERT_EQ(rig.sinks[1]->pkts.size(), 1u);
   const auto& cfg = rig.net.config();
   EXPECT_EQ(rig.sinks[1]->pkts[0].first,
@@ -169,6 +171,7 @@ TEST(FabricNet, EcmpSpreadsMessagesAcrossSpines) {
   const unsigned kMsgs = 64;
   for (std::uint64_t m = 1; m <= kMsgs; ++m) rig.net.inject(mk(0, 1, m, Bytes(64, 1)));
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(rig.sinks[1]->pkts.size(), kMsgs);
   const auto& s0 = rig.net.hop_counters(rig.net.topology().spine_id(0));
   const auto& s1 = rig.net.hop_counters(rig.net.topology().spine_id(1));
@@ -188,6 +191,7 @@ TEST(FabricNet, FinitePortBufferTailDrops) {
     rig.net.inject(mk(src, 1, 100 + src, Bytes(1024, 5)));
   }
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(rig.sinks[1]->pkts.size(), 2u);
   EXPECT_EQ(rig.net.fault_counters().buffer_drops, 1u);
   EXPECT_EQ(rig.net.hop_counters(0).buffer_drops, 1u);
@@ -198,6 +202,7 @@ TEST(FabricNet, FinitePortBufferTailDrops) {
     deep.net.inject(mk(src, 1, 100 + src, Bytes(1024, 5)));
   }
   deep.sim.run();
+  EXPECT_EQ(deep.net.in_flight_packets(), 0u);
   EXPECT_EQ(deep.sinks[1]->pkts.size(), 3u);
   EXPECT_EQ(deep.net.fault_counters().buffer_drops, 0u);
 }
@@ -211,6 +216,7 @@ TEST(FabricNet, TrunkDownWindowDropsThenRecovers) {
   rig.sim.schedule(us(2), [&] { rig.net.inject(mk(0, 1, 1, Bytes(64, 1))); });  // cut
   rig.sim.schedule(us(4), [&] { rig.net.inject(mk(0, 1, 2, Bytes(64, 1))); });  // healed
   rig.sim.run();
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);  // every drop released its slot
   EXPECT_EQ(rig.sinks[1]->pkts.size(), 1u);
   EXPECT_EQ(rig.sinks[1]->pkts[0].second.msg_id, 2u);
   EXPECT_EQ(rig.net.fault_counters().trunk_drops, 1u);
@@ -229,6 +235,7 @@ TEST(FabricNet, FabricRunsAreDeterministic) {
       rig.net.inject(mk(src, dst, m, Bytes(256 + (m % 4) * 128, 9)));
     }
     rig.sim.run();
+    EXPECT_EQ(rig.net.in_flight_packets(), 0u);
     std::uint64_t h = 1469598103934665603ull;
     auto mix = [&h](std::uint64_t v) {
       h ^= v;
@@ -249,6 +256,30 @@ TEST(FabricNet, FabricRunsAreDeterministic) {
     return h;
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(FabricNet, SpineAndDownlinkDropsReleaseTheirSlots) {
+  // The drop paths FinitePortBufferTailDrops and TrunkDownWindowDropsThen-
+  // Recovers leave out: a trunk cut between the spine and the destination
+  // leaf (dropped at the spine, after the up hop carried it), and the
+  // finite buffer on a fabric node downlink.
+  FabricRig rig(Topology::leaf_spine(2, 1), 8, /*port_buffer_bytes=*/1024 + net::kTransportHeaderBytes);
+  const SwitchId spine = rig.net.topology().spine_id(0);
+  net::FaultPlan plan;
+  plan.trunk_down(1, spine, 0, us(10));  // leaf 1 <-> spine cut
+  rig.net.install_faults(plan);
+  rig.net.inject(mk(0, 1, 1, Bytes(64, 1)));  // leaf 0 -> spine ok, spine -> leaf 1 cut
+  // Leaf 1 holds nodes 1, 3, 5 and 7: three simultaneous same-leaf
+  // arrivals at node 3's downlink, one packet of queueing allowed.
+  for (net::NodeId src : {net::NodeId{1}, net::NodeId{5}, net::NodeId{7}}) {
+    rig.net.inject(mk(src, 3, 200 + src, Bytes(1024, 5)));
+  }
+  rig.sim.run();
+  EXPECT_EQ(rig.sinks[1]->pkts.size(), 0u);
+  EXPECT_EQ(rig.sinks[3]->pkts.size(), 2u);
+  EXPECT_EQ(rig.net.hop_counters(spine).trunk_drops, 1u);
+  EXPECT_EQ(rig.net.hop_counters(1).buffer_drops, 1u);
+  EXPECT_EQ(rig.net.in_flight_packets(), 0u);
 }
 
 TEST(FabricNet, LateAddedNodesRegisterMetricCells) {
